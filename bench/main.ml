@@ -540,11 +540,13 @@ let gp_bench () =
 (* ---- Tuner caching bench ------------------------------------------------- *)
 
 (* The decision-signature caching protocol (EXPERIMENTS.md): one fixed-seed
-   GA run twice — cache off, then cache on starting empty.  Caching must be
-   bit-transparent, so the two searches are required to produce the same
-   best genome and the same per-generation history; the win is the count of
-   full VM simulations avoided.  Numbers land in BENCH_tuner.json so CI can
-   diff runs without scraping tables. *)
+   GA run twice — cache off, then cache on starting empty.  With the fitness
+   cache off no decision walk reaches the VM, so the compiled-method cache
+   is off too.  Caching must be bit-transparent, so the two searches are
+   required to produce the same best genome and the same per-generation
+   history; the win is the count of full VM simulations avoided, plus the
+   compiled-method cache's hits.  Numbers land in BENCH_tuner.json so CI
+   can diff runs without scraping tables. *)
 let tuner_bench () =
   print_endline "==== Tuner bench: decision-signature fitness caching ====\n";
   let suite = [ W.Suites.find "compress"; W.Suites.find "raytrace"; W.Suites.find "db" ] in
@@ -570,11 +572,18 @@ let tuner_bench () =
   Fitcache.set_enabled true;
   let h0 = value "fitness.sig_hits"
   and m0 = value "fitness.sig_misses"
-  and u0 = value "fitness.unique_plans" in
+  and u0 = value "fitness.unique_plans"
+  and ch0 = value "vm.compile_cache.hits"
+  and cm0 = value "vm.compile_cache.misses"
+  and ce0 = value "vm.compile_cache.evictions" in
   let on, sims_on, wall_on = timed_run () in
   let sig_hits = value "fitness.sig_hits" - h0
   and sig_misses = value "fitness.sig_misses" - m0
-  and unique_plans = value "fitness.unique_plans" - u0 in
+  and unique_plans = value "fitness.unique_plans" - u0
+  and cc_hits = value "vm.compile_cache.hits" - ch0
+  and cc_misses = value "vm.compile_cache.misses" - cm0
+  and cc_evictions = value "vm.compile_cache.evictions" - ce0
+  and cc_instrs = value "vm.compile_cache.instrs" in
   let identical_best = off.Tuner.ga.Inltune_ga.Evolve.best = on.Tuner.ga.Inltune_ga.Evolve.best in
   let identical_history =
     off.Tuner.ga.Inltune_ga.Evolve.history = on.Tuner.ga.Inltune_ga.Evolve.history
@@ -599,6 +608,8 @@ let tuner_bench () =
       "avoided"; ""; Printf.sprintf "%d (%.0f%%)" avoided (100.0 *. frac); ""; ""; "";
     |];
   Table.print t;
+  Printf.printf "compiled-method cache (cache on): %d hits, %d misses, %d evictions, %d instrs held\n"
+    cc_hits cc_misses cc_evictions cc_instrs;
   Printf.printf "best genome identical: %b   per-generation history identical: %b\n"
     identical_best identical_history;
   let oc = open_out "BENCH_tuner.json" in
@@ -606,12 +617,14 @@ let tuner_bench () =
     "{\"suite\":[%s],\"scenario\":\"opt:tot\",\"pop\":%d,\"gens\":%d,\"seed\":%d,\
      \"cache_off\":{\"wall_s\":%.3f,\"simulations\":%d},\
      \"cache_on\":{\"wall_s\":%.3f,\"simulations\":%d,\"sig_hits\":%d,\"sig_misses\":%d,\
-     \"unique_plans\":%d},\
+     \"unique_plans\":%d,\"compile_cache\":{\"hits\":%d,\"misses\":%d,\"evictions\":%d,\
+     \"instrs\":%d}},\
      \"simulations_avoided\":%d,\"avoided_fraction\":%.4f,\
      \"identical_best\":%b,\"identical_history\":%b}\n"
     (String.concat "," (List.map (fun bm -> "\"" ^ bm.W.Suites.bname ^ "\"") suite))
     budget.Tuner.pop budget.Tuner.gens budget.Tuner.seed wall_off sims_off wall_on sims_on
-    sig_hits sig_misses unique_plans avoided frac identical_best identical_history;
+    sig_hits sig_misses unique_plans cc_hits cc_misses cc_evictions cc_instrs avoided frac
+    identical_best identical_history;
   close_out oc;
   print_endline "wrote BENCH_tuner.json\n";
   if not (identical_best && identical_history) then begin

@@ -122,17 +122,27 @@ let any_enabled_inliner ~skip plan =
   List.exists (fun n -> (not (skip n)) && Plan.has_enabled n plan) Pass.inliner_names
 
 (* Exact walk signature: hash of the concatenated per-method decision-plan
-   bit strings of [policy_of] over the constprop'd methods. *)
+   bit strings of [policy_of] over the constprop'd methods.  The strings
+   themselves are the exact verdicts each method's compile will reach, so
+   they travel on to the simulation as its compiled-method cache walk. *)
 let walk_signature info prog policy_of =
+  let decisions =
+    Array.map (fun cpm -> Inline.plan_policy ~program:prog ~policy:(policy_of cpm) cpm) info.p_cp
+  in
   let buf = Buffer.create 256 in
   Array.iter
-    (fun cpm ->
-      Buffer.add_string buf (Inline.plan_policy ~program:prog ~policy:(policy_of cpm) cpm);
+    (fun d ->
+      Buffer.add_string buf d;
       Buffer.add_char buf '|')
-    info.p_cp;
-  "w:" ^ Digest.to_hex (Digest.string (Buffer.contents buf))
+    decisions;
+  ("w:" ^ Digest.to_hex (Digest.string (Buffer.contents buf)), Some decisions)
 
-let signature ~scenario ~heuristic ~inline_enabled ~plan prog =
+(* Signatures that are not an exact walk. *)
+let opaque sg = (sg, None)
+
+(* The signature plus, when it is an exact walk, its per-method decision
+   strings. *)
+let signature_walk ~scenario ~heuristic ~inline_enabled ~plan prog =
   let plan = effective_plan ~inline_enabled plan in
   let heuristic_params () =
     Printf.sprintf "h:%s"
@@ -141,7 +151,7 @@ let signature ~scenario ~heuristic ~inline_enabled ~plan prog =
   in
   match scenario with
   | Machine.Opt -> (
-    if not (any_enabled_inliner ~skip:opt_skip plan) then "off"
+    if not (any_enabled_inliner ~skip:opt_skip plan) then opaque "off"
     else
       let heuristic_used = Plan.has_enabled "inline" plan in
       let info () = pinfo_of prog in
@@ -159,19 +169,21 @@ let signature ~scenario ~heuristic ~inline_enabled ~plan prog =
            measurements apart even before the key's plan tag does. *)
         match Option.bind (Pass.find it.Plan.pass) (fun p -> p.Pass.static_policy) with
         | Some mk -> walk_signature (info ()) prog (mk (Plan.item_knob it) prog)
-        | None -> "n:static" (* non-static strategy: plan tag isolates *))
+        | None -> opaque "n:static" (* non-static strategy: plan tag isolates *))
       | Some _ ->
         (* A strategy leads but the heuristic-driven inline item still runs
            later, on code the walk cannot reconstruct: fall back to the
            exact parameters — still sound (no merging beyond identical
            heuristics under the same plan, which the key's plan tag already
            isolates), just maximally conservative. *)
-        heuristic_params ()
+        opaque (heuristic_params ())
       | None ->
         (* Pre-inline schedule diverges from the single constprop the
            [p_cp] walk assumes: same fallbacks, by heuristic relevance. *)
-        if heuristic_used then heuristic_params () else "n:static")
+        opaque (if heuristic_used then heuristic_params () else "n:static"))
   | Machine.Adapt | Machine.Ladder ->
+    opaque
+    @@
     if not (any_enabled_inliner ~skip:(fun _ -> false) plan) then "off"
     else if not (Plan.has_enabled "inline" plan) then
       (* Only strategy inliners run.  Their decisions read the program, the
@@ -203,6 +215,9 @@ let signature ~scenario ~heuristic ~inline_enabled ~plan prog =
       Buffer.contents buf
     end
 
+let signature ~scenario ~heuristic ~inline_enabled ~plan prog =
+  fst (signature_walk ~scenario ~heuristic ~inline_enabled ~plan prog)
+
 (* First-class policy queries (lib/policy stores, GP trees).  Under [Opt]
    with a walk-compatible plan and a *static* policy — one whose decisions
    read nothing but the program and the site record, never the live profile —
@@ -218,29 +233,42 @@ let signature ~scenario ~heuristic ~inline_enabled ~plan prog =
    walk-incompatible plans — the signature falls back to the caller-supplied
    content [digest] of the policy artifact: sound (identical policies replay
    identical decisions), just no cross-policy merging. *)
-let policy_signature ~scenario ~policy ~digest ~static ~inline_enabled ~plan prog =
+let policy_signature_walk ~scenario ~policy ~digest ~static ~inline_enabled ~plan prog =
   let plan = effective_plan ~inline_enabled plan in
   let skip = match scenario with Machine.Opt -> opt_skip | _ -> fun _ -> false in
   if not (Plan.has_enabled "inline" plan) then
     (* The policy drives only the inline item; with it off the execution is
        policy-independent — "off" when nothing inlines at all, an opaque
        constant (isolated by the key's plan tag) when strategies still run. *)
-    if any_enabled_inliner ~skip plan then "n:static" else "off"
+    opaque (if any_enabled_inliner ~skip plan then "n:static" else "off")
   else
     match scenario with
     | Machine.Opt when static && Plan.walk_compatible plan ->
       walk_signature (pinfo_of prog) prog (fun _ -> policy)
-    | Machine.Opt | Machine.Adapt | Machine.Ladder -> "g:" ^ digest
+    | Machine.Opt | Machine.Adapt | Machine.Ladder -> opaque ("g:" ^ digest)
+
+let policy_signature ~scenario ~policy ~digest ~static ~inline_enabled ~plan prog =
+  fst (policy_signature_walk ~scenario ~policy ~digest ~static ~inline_enabled ~plan prog)
 
 (* Non-default plans change what every compile does, so their measurements
    must never alias the default plan's: the key carries a plan tag — a fixed
    "default" for the default plan, the plan's content digest otherwise. *)
 let plan_tag plan = if Plan.is_default plan then "default" else "plan:" ^ Plan.digest plan
 
+(* The full key, and the compiled-method cache walk that a simulation
+   started on a miss receives when the signature is exact. *)
+let key_walk ~scenario ~platform ~iterations ~plan prog (sg, decisions) =
+  let digest = program_digest prog in
+  ( Printf.sprintf "%s/%s/%s/%s/%d/%s" digest (Machine.scenario_name scenario)
+      platform.Platform.pname (plan_tag plan) iterations sg,
+    Option.map (fun decisions -> { Compile_cache.program = digest; decisions }) decisions )
+
+let heuristic_key_walk ~scenario ~platform ~heuristic ~inline_enabled ~plan ~iterations prog =
+  key_walk ~scenario ~platform ~iterations ~plan prog
+    (signature_walk ~scenario ~heuristic ~inline_enabled ~plan prog)
+
 let key ~scenario ~platform ~heuristic ~inline_enabled ~plan ~iterations prog =
-  Printf.sprintf "%s/%s/%s/%s/%d/%s" (program_digest prog)
-    (Machine.scenario_name scenario) platform.Platform.pname (plan_tag plan) iterations
-    (signature ~scenario ~heuristic ~inline_enabled ~plan prog)
+  fst (heuristic_key_walk ~scenario ~platform ~heuristic ~inline_enabled ~plan ~iterations prog)
 
 (* --- the cache proper --------------------------------------------------- *)
 
@@ -266,10 +294,10 @@ let enabled () = !on
 let set_enabled v = on := v
 
 let clear () =
-  Mutex.lock mu;
-  Hashtbl.reset table;
-  Hashtbl.reset owners;
-  Mutex.unlock mu
+  Mutex.protect mu (fun () ->
+      Hashtbl.reset table;
+      Hashtbl.reset owners);
+  Compile_cache.clear ()
 
 let size () =
   Mutex.lock mu;
@@ -347,9 +375,9 @@ let append_entry path k m =
   close_out oc
 
 let set_file path =
-  Mutex.lock mu;
+  Mutex.protect mu @@ fun () ->
   file := path;
-  (match path with
+  match path with
   | Some p when Sys.file_exists p ->
     let ic = open_in p in
     (* Warn once per file, not once per line: a big cache truncated by a
@@ -381,8 +409,7 @@ let set_file path =
         (if !skipped = 1 then "" else "s")
         where why
     end
-  | _ -> ());
-  Mutex.unlock mu
+  | _ -> ()
 
 (* --- lookup ------------------------------------------------------------- *)
 
@@ -392,17 +419,20 @@ let find_measurement k =
   Mutex.unlock mu;
   r
 
+(* The append runs under [mu], so lines from racing domains never
+   interleave; [Mutex.protect] releases the lock if it raises (an unwritable
+   path), so a failed append fails this store alone, not every later
+   lookup. *)
 let store_measurement k m =
-  Mutex.lock mu;
-  if not (Hashtbl.mem table k) then begin
-    Hashtbl.add table k m;
-    (match !tenant_hook () with
-    | Some t when not (Hashtbl.mem owners k) -> Hashtbl.add owners k t
-    | _ -> ());
-    bump "fitness.unique_plans";
-    match !file with Some p -> append_entry p k m | None -> ()
-  end;
-  Mutex.unlock mu
+  Mutex.protect mu (fun () ->
+      if not (Hashtbl.mem table k) then begin
+        Hashtbl.add table k m;
+        (match !tenant_hook () with
+        | Some t when not (Hashtbl.mem owners k) -> Hashtbl.add owners k t
+        | _ -> ());
+        bump "fitness.unique_plans";
+        match !file with Some p -> append_entry p k m | None -> ()
+      end)
 
 (* A hit where the key's simulation was paid for by a *different* tenant:
    the cross-tenant amortization the serve daemon exists to create. *)
@@ -429,47 +459,46 @@ let mem ~scenario ~platform ~heuristic ~inline_enabled ~plan ~iterations prog =
 (* Two domains racing on the same fresh key both simulate (the simulation
    runs outside the lock and is deterministic, so both arrive at the same
    measurement); the first store wins and the counters are best-effort. *)
+let lookup k walk simulate =
+  match find_measurement k with
+  | Some m ->
+    bump "fitness.sig_hits";
+    count_tenant_hit k;
+    m
+  | None ->
+    bump "fitness.sig_misses";
+    let m = simulate walk in
+    store_measurement k m;
+    m
+
 let lookup_or_measure ~scenario ~platform ~heuristic ~inline_enabled ~plan ~iterations
     ~program simulate =
-  if not !on then simulate ()
-  else begin
-    let k = key ~scenario ~platform ~heuristic ~inline_enabled ~plan ~iterations program in
-    match find_measurement k with
-    | Some m ->
-      bump "fitness.sig_hits";
-      count_tenant_hit k;
-      m
-    | None ->
-      bump "fitness.sig_misses";
-      let m = simulate () in
-      store_measurement k m;
-      m
-  end
+  if not !on then simulate None
+  else
+    let k, walk =
+      heuristic_key_walk ~scenario ~platform ~heuristic ~inline_enabled ~plan ~iterations program
+    in
+    lookup k walk simulate
+
+let policy_key_walk ~scenario ~platform ~policy ~digest ~static ~inline_enabled ~plan
+    ~iterations prog =
+  key_walk ~scenario ~platform ~iterations ~plan prog
+    (policy_signature_walk ~scenario ~policy ~digest ~static ~inline_enabled ~plan prog)
 
 let policy_key ~scenario ~platform ~policy ~digest ~static ~inline_enabled ~plan ~iterations
     prog =
-  Printf.sprintf "%s/%s/%s/%s/%d/%s" (program_digest prog)
-    (Machine.scenario_name scenario) platform.Platform.pname (plan_tag plan) iterations
-    (policy_signature ~scenario ~policy ~digest ~static ~inline_enabled ~plan prog)
+  fst
+    (policy_key_walk ~scenario ~platform ~policy ~digest ~static ~inline_enabled ~plan
+       ~iterations prog)
 
 (* The policy twin of [lookup_or_measure]: same table, same counters, same
    two-tier persistence — only the signature half of the key differs. *)
 let lookup_or_measure_policy ~scenario ~platform ~policy ~digest ~static ~inline_enabled
     ~plan ~iterations ~program simulate =
-  if not !on then simulate ()
-  else begin
-    let k =
-      policy_key ~scenario ~platform ~policy ~digest ~static ~inline_enabled ~plan ~iterations
-        program
+  if not !on then simulate None
+  else
+    let k, walk =
+      policy_key_walk ~scenario ~platform ~policy ~digest ~static ~inline_enabled ~plan
+        ~iterations program
     in
-    match find_measurement k with
-    | Some m ->
-      bump "fitness.sig_hits";
-      count_tenant_hit k;
-      m
-    | None ->
-      bump "fitness.sig_misses";
-      let m = simulate () in
-      store_measurement k m;
-      m
-  end
+    lookup k walk simulate

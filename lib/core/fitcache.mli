@@ -68,9 +68,9 @@ val enabled : unit -> bool
     simulates and the table is neither consulted nor extended. *)
 val set_enabled : bool -> unit
 
-(** Forget every in-memory measurement and tenant-ownership record
-    (per-program signature data and the attached file are kept).  Tests and
-    the off/on benchmark use this. *)
+(** Forget every in-memory measurement and tenant-ownership record, and
+    empty the {!Inltune_vm.Compile_cache} (per-program signature data and
+    the attached file are kept).  Tests and the off/on benchmark use this. *)
 val clear : unit -> unit
 
 (** Number of measurements currently in the in-memory table. *)
@@ -105,9 +105,13 @@ val mem :
   bool
 
 (** [lookup_or_measure ... ~program simulate] returns the cached measurement
-    for the query's key, or runs [simulate] (outside the cache lock) and
-    stores — and, when a file is attached, appends — its result.  When the
-    cache is disabled this is just [simulate ()]. *)
+    for the query's key, or runs [simulate walk] (outside the cache lock)
+    and stores — and, when a file is attached, appends — its result.
+    [walk] is [Some] exactly when the signature is an exact decision walk
+    (a ["w:"] signature): the per-method verdict strings it was built from,
+    for the simulation's
+    {!Inltune_vm.Machine.config} [walk].  When the cache is disabled this
+    is just [simulate None]. *)
 val lookup_or_measure :
   scenario:Machine.scenario ->
   platform:Platform.t ->
@@ -116,7 +120,7 @@ val lookup_or_measure :
   plan:Plan.t ->
   iterations:int ->
   program:Ir.program ->
-  (unit -> Runner.measurement) ->
+  (Compile_cache.walk option -> Runner.measurement) ->
   Runner.measurement
 
 (** Decision signature of a first-class policy.  [static] asserts the policy
@@ -164,5 +168,5 @@ val lookup_or_measure_policy :
   plan:Plan.t ->
   iterations:int ->
   program:Ir.program ->
-  (unit -> Runner.measurement) ->
+  (Compile_cache.walk option -> Runner.measurement) ->
   Runner.measurement

@@ -32,9 +32,9 @@ let bump name = Inltune_obs.Metric.incr (Inltune_obs.Metric.counter name)
 let run ?(iterations = 3) ?(inline_enabled = true) ?(plan = Plan.default) ~scenario ~platform
     ~heuristic bm =
   let prog = Workloads.Suites.program bm in
-  let simulate () =
+  let simulate walk =
     bump "measure.simulations";
-    let cfg = Machine.config ~inline_enabled ~plan scenario heuristic in
+    let cfg = Machine.config ~inline_enabled ~plan ?walk scenario heuristic in
     Runner.measure ~iterations cfg platform prog
   in
   if not (Inltune_obs.Prof.enabled ()) then
@@ -49,9 +49,9 @@ let run ?(iterations = 3) ?(inline_enabled = true) ?(plan = Plan.default) ~scena
     let module Trace = Inltune_obs.Trace in
     let module Event = Inltune_obs.Event in
     let sim_wall = ref 0.0 in
-    let simulate () =
+    let simulate walk =
       let t0 = Trace.now () in
-      let m = simulate () in
+      let m = simulate walk in
       sim_wall := Trace.now () -. t0;
       m
     in

@@ -43,12 +43,14 @@ let measure ?(iterations = 3) ~scenario ~platform tree bm =
   let prog = W.Suites.program bm in
   let ctx = ctx_of prog in
   let policy = Decode.policy ~ctx tree in
-  let cfg = Machine.config ~policy_factory:(fun _ -> policy) scenario Heuristic.default in
   Measure.of_measurement
     (Fitcache.lookup_or_measure_policy ~scenario ~platform ~policy ~digest:(Tree.digest tree)
        ~static:true ~inline_enabled:true ~plan:Plan.default ~iterations ~program:prog
-       (fun () ->
+       (fun walk ->
          Metric.incr (Metric.counter "measure.simulations");
+         let cfg =
+           Machine.config ~policy_factory:(fun _ -> policy) ?walk scenario Heuristic.default
+         in
          Runner.measure ~iterations cfg platform prog))
 
 let score ~parsimony tree cells =

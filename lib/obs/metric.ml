@@ -44,6 +44,7 @@ let counter name =
 
 let incr c = Atomic.incr c.cell
 let add c n = ignore (Atomic.fetch_and_add c.cell n : int)
+let set c n = Atomic.set c.cell n
 let value c = Atomic.get c.cell
 let counter_name c = c.cname
 

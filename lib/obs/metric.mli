@@ -9,6 +9,11 @@ val counter : string -> counter
 
 val incr : counter -> unit
 val add : counter -> int -> unit
+
+(** Overwrite the value: for gauge-style counters that report a current
+    level (a cache's size) rather than a running total. *)
+val set : counter -> int -> unit
+
 val value : counter -> int
 val counter_name : counter -> string
 

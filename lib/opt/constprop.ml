@@ -62,20 +62,13 @@ let transfer env_tag env_val i =
    calls: allocating fresh multi-10k-word arrays on every compile made the
    allocation-point major GC slices cost more than the fixpoint itself.  The
    scratch is not cleared between calls at all — see the write-before-read
-   argument at the top of [analyze]. *)
-let state_scratch : (int array * int array) ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref ([||], [||]))
-
-let get_state_scratch need =
-  let cell = Domain.DLS.get state_scratch in
-  let tags, _ = !cell in
-  if Array.length tags >= need then !cell
-  else begin
-    let n = max need (2 * Array.length tags) in
-    let fresh = (Array.make n 0, Array.make n 0) in
-    cell := fresh;
-    fresh
-  end
+   argument at the top of [analyze].  Systhreads of one domain (the serve
+   daemon compiles on several) never share it: a run holds it from
+   [analyze] until [rewrite] is done. *)
+let state_scratch =
+  Inltune_support.Scratch.create
+    ~size:(fun (tags, _) -> Array.length tags)
+    ~make:(fun n -> (Array.make n 0, Array.make n 0))
 
 let analyze m =
   let nblocks = Array.length m.Ir.blocks in
@@ -115,7 +108,7 @@ let analyze m =
     | Ir.Jump _ -> ()
   done;
   let ng = !ng in
-  let in_tag, in_val = get_state_scratch (nblocks * ng) in
+  let in_tag, in_val = Inltune_support.Scratch.take state_scratch (nblocks * ng) in
   (* No bulk clear of the scratch: a block's state slice is only ever read
      after it was written in full — the entry loop below covers block 0, and
      every other block's slice is first written by the wholesale
@@ -363,6 +356,8 @@ let run prog m =
   if Array.length m.Ir.blocks * m.Ir.nregs > analysis_budget then
     (m, { folded = 0; devirtualized = 0; branches_folded = 0 })
   else begin
-    let in_states = analyze m in
-    rewrite prog m in_states
+    let ((in_tag, in_val, _, _, _) as in_states) = analyze m in
+    let r = rewrite prog m in_states in
+    Inltune_support.Scratch.release state_scratch (in_tag, in_val);
+    r
   end

@@ -21,6 +21,14 @@ open Inltune_jir
    aggressive inlining are skipped, mirroring [Constprop.analysis_budget]. *)
 let analysis_budget = 2_000_000
 
+(* Per-domain scratch for the two [nblocks * words] liveness tables, cleared
+   per run: allocated fresh, they were the largest share of the big blocks
+   each optimizing compile allocates directly in the major heap. *)
+let live_scratch =
+  Inltune_support.Scratch.create
+    ~size:(fun (live_in, _) -> Array.length live_in)
+    ~make:(fun n -> (Array.make n 0, Array.make n 0))
+
 let run m =
   if Array.length m.Ir.blocks * m.Ir.nregs > analysis_budget then (m, 0)
   else begin
@@ -28,8 +36,11 @@ let run m =
     let nblocks = Array.length blocks in
     let nregs = m.Ir.nregs in
     let words = (nregs + 62) / 63 in
-    let live_in = Array.make (nblocks * words) 0 in
-    let live_out = Array.make (nblocks * words) 0 in
+    let ((live_in, live_out) as scratch) =
+      Inltune_support.Scratch.take live_scratch (nblocks * words)
+    in
+    Array.fill live_in 0 (nblocks * words) 0;
+    Array.fill live_out 0 (nblocks * words) 0;
     (* The block being transferred, as a scratch bit vector. *)
     let cur = Array.make words 0 in
     let set r = cur.(r / 63) <- cur.(r / 63) lor (1 lsl (r mod 63)) in
@@ -199,5 +210,6 @@ let run m =
           end)
         blocks
     in
+    Inltune_support.Scratch.release live_scratch scratch;
     ({ m with Ir.blocks = blocks' }, !removed)
   end

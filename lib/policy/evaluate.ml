@@ -21,7 +21,6 @@ let measure ?(iterations = 3) ~scenario ~platform store bm =
   | Store.Tree _ ->
     let prog = W.Suites.program bm in
     let fctx = Features.make_ctx prog in
-    let cfg = Machine.config ~policy_factory:(Apply.factory ~ctx:fctx store) scenario Heuristic.default in
     (* Stored decision trees consult the live profile under Adapt
        (Apply.factory re-derives features per compile), so they are not
        static policies: the cache key falls back to the store's content
@@ -31,8 +30,12 @@ let measure ?(iterations = 3) ~scenario ~platform store bm =
       (Fitcache.lookup_or_measure_policy ~scenario ~platform ~policy
          ~digest:(Digest.to_hex (Digest.string (Store.to_string store)))
          ~static:false ~inline_enabled:true ~plan:Plan.default ~iterations ~program:prog
-         (fun () ->
+         (fun walk ->
            Metric.incr (Metric.counter "measure.simulations");
+           let cfg =
+             Machine.config ~policy_factory:(Apply.factory ~ctx:fctx store) ?walk scenario
+               Heuristic.default
+           in
            Runner.measure ~iterations cfg platform prog))
 
 type row = {

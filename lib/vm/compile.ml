@@ -94,20 +94,43 @@ let o1 (plat : Platform.t) codespace program ~profile m =
   in
   (c, Platform.o1_compile_cycles plat ~size)
 
-let optimizing (plat : Platform.t) codespace program config ~profile m =
+(* The optimizing tier splits in two.  [optimize] is the host-expensive
+   part — the pipeline and register allocation — and a pure function of
+   the program, the pipeline's inputs and the platform, which is what lets
+   {!Compile_cache} share its result.  [install_optimized] is what every VM
+   does for itself: reserve code space, lower against its own profile, and
+   charge the simulated compile cycles. *)
+type optimized = {
+  o_code : Ir.methd;
+  o_stats : Pipeline.stats;
+  o_code_bytes : int;
+  o_block_spill_cost : int;
+  o_spills : int;
+}
+
+let optimize (plat : Platform.t) program config m =
   let code, stats = Pipeline.run program config m in
-  let code_bytes = Size.code_bytes ~expansion:plat.Platform.opt_expansion code in
+  let ra = Regalloc.run ~phys_regs:plat.Platform.phys_regs code in
+  {
+    o_code = code;
+    o_stats = stats;
+    o_code_bytes = Size.code_bytes ~expansion:plat.Platform.opt_expansion code;
+    o_block_spill_cost = Regalloc.block_spill_cost plat code ra;
+    o_spills = ra.Regalloc.spilled;
+  }
+
+let install_optimized (plat : Platform.t) codespace ~profile ~owner o =
+  let code = o.o_code and code_bytes = o.o_code_bytes in
   let addr = Codespace.alloc codespace code_bytes in
   let instrs = max 1 (Ir.instr_count code) in
-  let ra = Regalloc.run ~phys_regs:plat.Platform.phys_regs code in
   let bytes_per_instr = max 1 (code_bytes / instrs) in
-  let block_spill_cost = Regalloc.block_spill_cost plat code ra in
+  let block_spill_cost = o.o_block_spill_cost in
   let c =
     {
       tier = Optimized;
       code;
       flat =
-        Lower.lower ~plat ~profile ~owner:m.Ir.mid ~quality:1 ~addr ~bytes_per_instr
+        Lower.lower ~plat ~profile ~owner ~quality:1 ~addr ~bytes_per_instr
           ~spill:block_spill_cost code;
       addr;
       code_bytes;
@@ -115,7 +138,7 @@ let optimizing (plat : Platform.t) codespace program config ~profile m =
       block_offsets = block_offsets code;
       quality = 1;
       block_spill_cost;
-      spills = ra.Regalloc.spilled;
+      spills = o.o_spills;
     }
   in
-  (c, Platform.opt_compile_cycles plat ~size_peak:stats.Pipeline.size_peak, stats)
+  (c, Platform.opt_compile_cycles plat ~size_peak:o.o_stats.Pipeline.size_peak)

@@ -27,9 +27,24 @@ val baseline : Platform.t -> Codespace.t -> profile:Profile.t -> Ir.methd -> com
     cost, intermediate code quality.  Used by the ladder scenario. *)
 val o1 : Platform.t -> Codespace.t -> Ir.program -> profile:Profile.t -> Ir.methd -> compiled * int
 
-(** Compile with the optimizing tier: runs the pipeline under [config] and
-    charges compile cycles superlinear in the post-inlining size.  Returns
-    the compiled method, compile cycles, and the pipeline statistics. *)
-val optimizing :
-  Platform.t -> Codespace.t -> Ir.program -> Pipeline.config -> profile:Profile.t ->
-  Ir.methd -> compiled * int * Pipeline.stats
+(** The optimizing tier's host work on one method: the pipeline's output,
+    its statistics, and the platform's size and register-allocation
+    figures for it.  Never mutated once built, so one value may be
+    installed by many VMs. *)
+type optimized = {
+  o_code : Ir.methd;
+  o_stats : Pipeline.stats;
+  o_code_bytes : int;
+  o_block_spill_cost : int;  (** cycles per executed block (spill traffic) *)
+  o_spills : int;            (** intervals spilled by the register allocator *)
+}
+
+(** Run the pipeline under [config] and allocate registers. *)
+val optimize : Platform.t -> Ir.program -> Pipeline.config -> Ir.methd -> optimized
+
+(** Install optimized code in one VM: reserve its code space and lower it
+    against the VM's profile, with call sites attributed to [owner].
+    Returns the compiled method and the simulated compile cycles, which
+    grow superlinearly in the post-inlining peak size. *)
+val install_optimized :
+  Platform.t -> Codespace.t -> profile:Profile.t -> owner:Ir.mid -> optimized -> compiled * int

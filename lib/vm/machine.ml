@@ -60,11 +60,14 @@ type config = {
          current call-edge hotness; [custom_inliner] wins if both are set *)
   plan : Plan.t;          (* optimizing-tier pass schedule *)
   fuel : int;             (* interpreter step budget per iteration *)
+  walk : Compile_cache.walk option;
+      (* the exact per-method inline verdicts of this configuration, when
+         the caller knows them; enables the compiled-method cache *)
 }
 
 let config ?(inline_enabled = true) ?(optimize = true) ?(icache_enabled = true)
     ?(hot_path_enabled = true) ?(guarded_devirt_enabled = true) ?custom_inliner
-    ?policy_factory ?(plan = Plan.default) ?(fuel = 100_000_000) scenario heuristic =
+    ?policy_factory ?(plan = Plan.default) ?(fuel = 100_000_000) ?walk scenario heuristic =
   {
     scenario;
     heuristic;
@@ -77,6 +80,7 @@ let config ?(inline_enabled = true) ?(optimize = true) ?(icache_enabled = true)
     policy_factory;
     plan;
     fuel;
+    walk;
   }
 
 type t = {
@@ -107,9 +111,38 @@ type t = {
   (* Wall-clock seconds spent inside the compilers, accumulated only while
      Prof is enabled.  Profiler bookkeeping, never part of cycle accounting. *)
   mutable compile_wall_s : float;
+  cache_prefix : string option;
+      (* the per-VM part of every compiled-method cache key; [None] when
+         optimizing compiles bypass the cache *)
 }
 
 let max_call_depth = 8_000
+
+(* The legacy ablation flags are plan edits: no inlining disables the
+   inline item, no optimization disables the dataflow items. *)
+let effective_plan cfg =
+  let plan = cfg.plan in
+  let plan = if cfg.inline_enabled then plan else Plan.disable "inline" plan in
+  if cfg.optimize then plan else Plan.without_dataflow plan
+
+(* Optimizing compiles go through the compiled-method cache only when the
+   configuration came with an exact decision walk, under Opt (no profile
+   feeds the pipeline) and without a custom per-site closure.  The prefix
+   covers what is fixed for the VM's lifetime: program, effective plan and
+   platform, each by content. *)
+let cache_prefix cfg (plat : Platform.t) prog =
+  match cfg.walk with
+  | Some w when cfg.scenario = Opt && cfg.custom_inliner = None ->
+    if Array.length w.Compile_cache.decisions <> Array.length prog.Ir.methods then
+      invalid_arg "Machine.create: decision walk does not match the program";
+    Some
+      (String.concat "/"
+         [
+           w.Compile_cache.program;
+           Plan.digest (effective_plan cfg);
+           Digest.to_hex (Digest.string (Marshal.to_string plat []));
+         ])
+  | Some _ | None -> None
 
 let create cfg (plat : Platform.t) prog =
   Validate.check_exn prog;
@@ -137,6 +170,7 @@ let create cfg (plat : Platform.t) prog =
     frames = Inltune_support.Frames.create ~dummy:Lower.dummy ();
     frames_reused = 0;
     compile_wall_s = 0.0;
+    cache_prefix = cache_prefix cfg plat prog;
   }
 
 (* --- compilation ------------------------------------------------------- *)
@@ -188,12 +222,7 @@ let pipeline_config vm =
           total_calls = (fun () -> Profile.total_calls vm.profile);
         }
   in
-  (* The legacy ablation flags are plan edits: no inlining disables the
-     inline item, no optimization disables the dataflow items. *)
-  let plan = vm.cfg.plan in
-  let plan = if vm.cfg.inline_enabled then plan else Plan.disable "inline" plan in
-  let plan = if vm.cfg.optimize then plan else Plan.without_dataflow plan in
-  Pipeline.make ~plan ?hot_site ?devirt_oracle ?profile decider
+  Pipeline.make ~plan:(effective_plan vm.cfg) ?hot_site ?devirt_oracle ?profile decider
 
 let trace_compile vm mid ~tier ~cycles ~recompile extra (c : Compile.compiled) =
   Trace.emit "vm.compile"
@@ -211,12 +240,26 @@ let trace_compile vm mid ~tier ~cycles ~recompile extra (c : Compile.compiled) =
 
 let note_compile_wall vm dt = vm.compile_wall_s <- vm.compile_wall_s +. dt
 
+(* With event tracing on the cache is bypassed, so every compile emits its
+   inline.decision and opt.method events. *)
 let compile_opt vm mid =
   let m = vm.prog.Ir.methods.(mid) in
   let recompile = vm.compiled.(mid) <> None in
+  let optimize () = Compile.optimize vm.plat vm.prog (pipeline_config vm) m in
   let c, cycles, stats =
     Prof.span "vm.compile" ~on_time:(note_compile_wall vm) (fun () ->
-        Compile.optimizing vm.plat vm.codespace vm.prog (pipeline_config vm) ~profile:vm.profile m)
+        let o =
+          match (vm.cache_prefix, vm.cfg.walk) with
+          | Some prefix, Some w when not (Trace.enabled ()) ->
+            Compile_cache.find_or_optimize
+              (String.concat "/" [ prefix; string_of_int mid; w.Compile_cache.decisions.(mid) ])
+              optimize
+          | _ -> optimize ()
+        in
+        let c, cycles =
+          Compile.install_optimized vm.plat vm.codespace ~profile:vm.profile ~owner:m.Ir.mid o
+        in
+        (c, cycles, o.Compile.o_stats))
   in
   vm.compile_cycles <- vm.compile_cycles + cycles;
   vm.opt_compiles <- vm.opt_compiles + 1;

@@ -45,6 +45,12 @@ type config = {
           [inline_enabled] / [optimize] ablations apply on top as plan
           edits at each compile *)
   fuel : int;                     (** interpreter step budget per iteration *)
+  walk : Compile_cache.walk option;
+      (** the exact inline verdicts this configuration reaches in every
+          method, when the caller knows them (the fitness cache's decision
+          walk).  Under [Opt], without [custom_inliner] and with event
+          tracing off, optimizing compiles then go through
+          {!Compile_cache}.  The caller vouches that the walk is exact. *)
 }
 
 (** Build a configuration; every optional defaults to the paper's setup. *)
@@ -58,6 +64,7 @@ val config :
   ?policy_factory:(Profile.t -> Policy.t) ->
   ?plan:Plan.t ->
   ?fuel:int ->
+  ?walk:Compile_cache.walk ->
   scenario ->
   Heuristic.t ->
   config
@@ -92,12 +99,17 @@ type t = {
       (** wall seconds inside the compilers, accumulated only while
           {!Inltune_obs.Prof} is enabled; profiler bookkeeping, never part
           of cycle accounting *)
+  cache_prefix : string option;
+      (** the per-VM part of every compiled-method cache key (program,
+          effective plan and platform digests); [None] when optimizing
+          compiles bypass {!Compile_cache} *)
 }
 
 (** Simulated call-stack depth limit (exceeding it is a {!Trap}). *)
 val max_call_depth : int
 
-(** Fresh VM over a validated program; raises on an ill-formed program. *)
+(** Fresh VM over a validated program; raises on an ill-formed program or a
+    [walk] whose length is not the program's method count. *)
 val create : config -> Platform.t -> Ir.program -> t
 
 (** Run [callee] with the given arguments inside the VM (compiling lazily as

@@ -42,31 +42,31 @@ let names suite = List.map (fun bm -> bm.bname) suite
 
 (* Generated programs are deterministic, so share them per process: program
    generation is cheap but not free, and tuning asks for the same program
-   thousands of times. *)
+   thousands of times.  Pool domains and serve threads reach these tables
+   concurrently, and every per-program cache downstream (Fitcache's
+   signature data, the compiled-method cache's digests) assumes one program
+   value per benchmark: so generation runs outside the lock and the first
+   value stored wins, the way [Measure.run_default] memoizes. *)
+let cache_mu = Mutex.create ()
 let cache : (string, Ir.program) Hashtbl.t = Hashtbl.create 16
 
-let program bm =
-  match Hashtbl.find_opt cache bm.bname with
+let memo key generate =
+  match Mutex.protect cache_mu (fun () -> Hashtbl.find_opt cache key) with
   | Some p -> p
   | None ->
-    let p = bm.generate () in
+    let p = generate () in
     Validate.check_exn p;
-    Hashtbl.add cache bm.bname p;
-    p
+    Mutex.protect cache_mu (fun () ->
+        match Hashtbl.find_opt cache key with
+        | Some existing -> existing
+        | None ->
+          Hashtbl.add cache key p;
+          p)
+
+let program bm = memo bm.bname (fun () -> bm.generate ())
 
 (* Non-default input sizes (the paper ran SPEC at size 100; smaller scales
    shift total time toward compilation).  Cached per (benchmark, scale). *)
-let scaled_cache : (string, Ir.program) Hashtbl.t = Hashtbl.create 16
-
 let program_scaled bm ~scale =
   if scale = 100 then program bm
-  else begin
-    let key = Printf.sprintf "%s@%d" bm.bname scale in
-    match Hashtbl.find_opt scaled_cache key with
-    | Some p -> p
-    | None ->
-      let p = bm.generate ~scale () in
-      Validate.check_exn p;
-      Hashtbl.add scaled_cache key p;
-      p
-  end
+  else memo (Printf.sprintf "%s@%d" bm.bname scale) (fun () -> bm.generate ~scale ())

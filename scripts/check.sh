@@ -133,6 +133,9 @@ grep -q '"identical_history":true' BENCH_tuner.json \
   || { echo "cache changed the per-generation history"; exit 1; }
 sig_hits=$(sed -n 's/.*"sig_hits":\([0-9]*\).*/\1/p' BENCH_tuner.json)
 [ "${sig_hits:-0}" -gt 0 ] || { echo "expected sig_hits > 0, got ${sig_hits:-none}"; exit 1; }
+# ... and the cache-on search must reuse compiled methods across simulations.
+cc_hits=$(sed -n 's/.*"compile_cache":{"hits":\([0-9]*\).*/\1/p' BENCH_tuner.json)
+[ "${cc_hits:-0}" -gt 0 ] || { echo "expected compile_cache hits > 0, got ${cc_hits:-none}"; exit 1; }
 
 echo "== plan smoke =="
 # The pass-manager layer: the canonical plan text is a serialization

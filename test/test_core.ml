@@ -249,6 +249,116 @@ let test_fitcache_ga_bit_transparent () =
   Alcotest.(check bool) "per-generation history identical" true
     (off.Tuner.ga.Inltune_ga.Evolve.history = on.Tuner.ga.Inltune_ga.Evolve.history)
 
+let zero_measurement =
+  {
+    Runner.total_cycles = 0; running_cycles = 0; first_exec_cycles = 0;
+    first_compile_cycles = 0; opt_compiles = 0; baseline_compiles = 0; code_bytes = 0;
+    icache_misses = 0; icache_accesses = 0; steps = 0; ret = 0; out_hash = 0;
+  }
+
+let test_fitcache_failed_append_releases_lock () =
+  (* An unwritable cache file makes the append raise while the entry is
+     being stored; the lock must be released, so a lookup from another
+     domain still returns (here: the entry stored before the append). *)
+  let dir = Filename.temp_file "fitcache" ".notadir" in
+  with_clean_fitcache (fun () ->
+      Fun.protect ~finally:(fun () -> try Sys.remove dir with Sys_error _ -> ()) (fun () ->
+          Fitcache.set_file (Some (Filename.concat dir "cache.jsonl"));
+          let p = W.Suites.program bm_db in
+          let lookup () =
+            Fitcache.lookup_or_measure ~scenario:Machine.Opt ~platform:Platform.x86
+              ~heuristic:Heuristic.default ~inline_enabled:true ~plan:Plan.default
+              ~iterations:3 ~program:p (fun _ -> zero_measurement)
+          in
+          Alcotest.(check bool) "append fails" true
+            (try ignore (lookup ()); false with Sys_error _ -> true);
+          let m = Domain.join (Domain.spawn lookup) in
+          Alcotest.(check bool) "second lookup returns the stored entry" true
+            (m = zero_measurement)))
+
+(* --- compiled-method cache --- *)
+
+(* The decision walk Fitcache hands the simulation it starts on a miss. *)
+let walk_of_lookup lookup =
+  let walk = ref None in
+  with_clean_fitcache (fun () ->
+      ignore
+        (lookup (fun w ->
+             walk := w;
+             zero_measurement)));
+  !walk
+
+let cache_hits () = metric "vm.compile_cache.hits"
+
+let test_compile_cache_transparent () =
+  (* Every benchmark under Opt: a simulation that compiles through the
+     cache — cold, then warm — measures exactly what an uncached one does,
+     and the warm one reuses compiled methods.  With event tracing on the
+     cache is bypassed. *)
+  let h = Heuristic.default in
+  List.iter
+    (fun bm ->
+      let prog = W.Suites.program bm in
+      let walk =
+        walk_of_lookup
+          (Fitcache.lookup_or_measure ~scenario:Machine.Opt ~platform:Platform.x86 ~heuristic:h
+             ~inline_enabled:true ~plan:Plan.default ~iterations:2 ~program:prog)
+      in
+      Alcotest.(check bool) (bm.W.Suites.bname ^ ": exact walk") true (walk <> None);
+      let measure ?walk () =
+        Runner.measure ~iterations:2 (Machine.config ?walk Machine.Opt h) Platform.x86 prog
+      in
+      let off = measure () in
+      Compile_cache.clear ();
+      let cold = measure ?walk () in
+      let h0 = cache_hits () in
+      let warm = measure ?walk () in
+      Alcotest.(check bool) (bm.W.Suites.bname ^ ": warm run hits") true (cache_hits () > h0);
+      Alcotest.(check bool) (bm.W.Suites.bname ^ ": cold = uncached") true (cold = off);
+      Alcotest.(check bool) (bm.W.Suites.bname ^ ": warm = uncached") true (warm = off))
+    W.Suites.all;
+  let prog = W.Suites.program bm_compress in
+  let walk =
+    walk_of_lookup
+      (Fitcache.lookup_or_measure ~scenario:Machine.Opt ~platform:Platform.x86 ~heuristic:h
+         ~inline_enabled:true ~plan:Plan.default ~iterations:2 ~program:prog)
+  in
+  let path = Filename.temp_file "inltune_cc" ".jsonl" in
+  Inltune_obs.Trace.to_file path;
+  let h0 = cache_hits () in
+  let traced =
+    Fun.protect
+      ~finally:(fun () ->
+        Inltune_obs.Trace.disable ();
+        Sys.remove path)
+      (fun () -> Runner.measure ~iterations:2 (Machine.config ?walk Machine.Opt h) Platform.x86 prog)
+  in
+  Alcotest.(check int) "tracing bypasses the cache" h0 (cache_hits ());
+  Alcotest.(check bool) "traced = uncached" true
+    (traced = Runner.measure ~iterations:2 (Machine.config Machine.Opt h) Platform.x86 prog)
+
+let test_compile_cache_bypassed_off_walk () =
+  (* Threshold projections (Adapt) and disabled fitness caching hand the
+     simulation no walk. *)
+  let prog = W.Suites.program bm_db in
+  let walk scenario =
+    walk_of_lookup
+      (Fitcache.lookup_or_measure ~scenario ~platform:Platform.x86 ~heuristic:Heuristic.default
+         ~inline_enabled:true ~plan:Plan.default ~iterations:2 ~program:prog)
+  in
+  Alcotest.(check bool) "adapt: no walk" true (walk Machine.Adapt = None);
+  Alcotest.(check bool) "opt: walk" true (walk Machine.Opt <> None);
+  let w = ref (Some { Compile_cache.program = ""; decisions = [||] }) in
+  with_clean_fitcache (fun () ->
+      Fitcache.set_enabled false;
+      ignore
+        (Fitcache.lookup_or_measure ~scenario:Machine.Opt ~platform:Platform.x86
+           ~heuristic:Heuristic.default ~inline_enabled:true ~plan:Plan.default ~iterations:2
+           ~program:prog (fun walk ->
+             w := walk;
+             zero_measurement)));
+  Alcotest.(check bool) "fitness cache off: no walk" true (!w = None)
+
 (* --- Objective --- *)
 
 let test_perf_running_and_total () =
@@ -465,4 +575,7 @@ let suite =
     ("experiment fig1", `Slow, test_experiment_fig1_runs);
     ("experiment unknown id rejected", `Quick, test_experiment_unknown_rejected);
     ("fig2 series varies with depth", `Slow, test_fig2_series_varies);
+    ("fitcache failed append releases lock", `Quick, test_fitcache_failed_append_releases_lock);
+    ("compile cache transparent on every benchmark", `Slow, test_compile_cache_transparent);
+    ("compile cache bypassed without a walk", `Quick, test_compile_cache_bypassed_off_walk);
   ]

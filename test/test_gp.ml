@@ -231,6 +231,40 @@ let test_policy_signature_shared_across_identical_trees () =
   Alcotest.(check bool) "walk namespace" true
     (String.length s1 > 2 && String.sub s1 0 2 = "w:")
 
+let test_static_rule_compile_cache_transparent () =
+  (* A static GP rule compiles through the compiled-method cache under the
+     walk Fitcache builds for it, and measures exactly as uncached. *)
+  let t = Tree.(Or (Cmp (Le, Feat 0, Const 12.0), Cmp (Le, Feat 1, Const 3.0))) in
+  List.iter
+    (fun bm ->
+      let prog = W.Suites.program bm in
+      let policy = Gp.Decode.policy ~ctx:(Features.make_ctx prog) t in
+      let measure ?walk () =
+        Runner.measure ~iterations:2
+          (Machine.config ~policy_factory:(fun _ -> policy) ?walk Machine.Opt Heuristic.default)
+          Platform.x86 prog
+      in
+      let walk = ref None in
+      Fitcache.clear ();
+      let cold =
+        Fitcache.lookup_or_measure_policy ~scenario:Machine.Opt ~platform:Platform.x86 ~policy
+          ~digest:(Tree.digest t) ~static:true ~inline_enabled:true ~plan:Plan.default
+          ~iterations:2 ~program:prog (fun w ->
+            walk := w;
+            measure ?walk:w ())
+      in
+      Fitcache.clear ();
+      Alcotest.(check bool) "exact walk" true (!walk <> None);
+      let hits () = Metric.value (Metric.counter "vm.compile_cache.hits") in
+      let off = measure () in
+      ignore (measure ?walk:!walk ());
+      let h0 = hits () in
+      let warm = measure ?walk:!walk () in
+      Alcotest.(check bool) "warm run hits" true (hits () > h0);
+      Alcotest.(check bool) "cold = uncached" true (cold = off);
+      Alcotest.(check bool) "warm = uncached" true (warm = off))
+    [ compress; W.Suites.find "jess" ]
+
 let test_agreement () =
   let training =
     [|
@@ -449,4 +483,6 @@ let suite =
     Alcotest.test_case "evolve: pre-filter counters" `Quick test_evolve_prefilter_counters;
     Alcotest.test_case "dataset: load_or_generate reuses labels" `Quick
       test_dataset_reused_counter;
+    Alcotest.test_case "decode: static rule compile cache transparent" `Quick
+      test_static_rule_compile_cache_transparent;
   ]

@@ -379,6 +379,47 @@ let test_copyprop_invalidated_by_redefinition () =
   | Ir.Binop (Ir.Add, 2, 1, 1) -> ()
   | i -> Alcotest.failf "copy used after invalidation: %s" (Fmt.str "%a" Pp.pp_instr i)
 
+let test_copyprop_copies_stay_in_their_block () =
+  (* Copies are block-local: neither r1 := r0 (block 0) nor r3 := r2
+     (block 1) may rewrite a use in a successor block. *)
+  let blocks =
+    [|
+      { Ir.instrs = [| Ir.Const (0, 5); Ir.Move (1, 0) |]; term = Ir.Jump 1 };
+      { Ir.instrs = [| Ir.Binop (Ir.Add, 2, 1, 1); Ir.Move (3, 2) |]; term = Ir.Jump 2 };
+      { Ir.instrs = [| Ir.Binop (Ir.Add, 4, 3, 1) |]; term = Ir.Ret 3 };
+    |]
+  in
+  let m = { Ir.mid = 0; mname = "m"; nargs = 0; nregs = 5; blocks } in
+  let m', n = Copyprop.run m in
+  Alcotest.(check int) "nothing rewritten" 0 n;
+  Array.iteri
+    (fun bi blk ->
+      Alcotest.(check bool) (Printf.sprintf "block %d unchanged" bi) true
+        (blk = m'.Ir.blocks.(bi)))
+    blocks
+
+(* --- Constprop under systhreads --- *)
+
+let test_constprop_threads_share_domain () =
+  (* Systhreads of one domain share constprop's per-domain lattice scratch:
+     two threads compiling the same big methods at once must each get what
+     a sequential compile gets. *)
+  let program = Inltune_workloads.Suites.program (Inltune_workloads.Suites.find "jess") in
+  let greedy = Heuristic.of_array (Array.map snd Heuristic.ranges) in
+  let compile () =
+    Array.map (fun m -> fst (Pipeline.run program (Pipeline.opt_config greedy) m)) program.Ir.methods
+  in
+  let expected = compile () in
+  let mismatches = Atomic.make 0 in
+  let worker () =
+    for _ = 1 to 5 do
+      if compile () <> expected then Atomic.incr mismatches
+    done
+  in
+  let threads = List.init 2 (fun _ -> Thread.create worker ()) in
+  List.iter Thread.join threads;
+  Alcotest.(check int) "concurrent compiles match sequential" 0 (Atomic.get mismatches)
+
 (* --- DCE --- *)
 
 let test_dce_removes_dead_pure () =
@@ -760,4 +801,9 @@ let extra_suite =
     ("profile oracle refuses polymorphic sites", `Quick, test_oracle_of_profile_polymorphic);
   ]
 
-let suite = suite @ extra_suite
+let suite =
+  suite @ extra_suite
+  @ [
+      ("copyprop copies stay in their block", `Quick, test_copyprop_copies_stay_in_their_block);
+      ("constprop threads share a domain", `Quick, test_constprop_threads_share_domain);
+    ]

@@ -3,6 +3,7 @@ module Stats = Inltune_support.Stats
 module Vec = Inltune_support.Vec
 module Table = Inltune_support.Table
 module Pool = Inltune_support.Pool
+module Lru = Inltune_support.Lru
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -420,6 +421,34 @@ let test_pool_priority_batch_completes () =
     bout;
   Pool.shutdown pool
 
+(* --- Lru --- *)
+
+let test_lru_evicts_least_recent () =
+  let t = Lru.create ~budget:10 () in
+  Alcotest.(check int) "a fits" 0 (Lru.add t "a" 1 ~weight:4);
+  Alcotest.(check int) "b fits" 0 (Lru.add t "b" 2 ~weight:4);
+  (* Touching a makes b the eviction candidate. *)
+  Alcotest.(check (option int)) "a found" (Some 1) (Lru.find t "a");
+  Alcotest.(check int) "c evicts one" 1 (Lru.add t "c" 3 ~weight:4);
+  Alcotest.(check (option int)) "b evicted" None (Lru.find t "b");
+  Alcotest.(check (option int)) "a kept" (Some 1) (Lru.find t "a");
+  Alcotest.(check int) "weight" 8 (Lru.weight t);
+  Alcotest.(check int) "heavy entry evicts both" 2 (Lru.add t "d" 4 ~weight:10);
+  Alcotest.(check int) "one entry" 1 (Lru.length t)
+
+let test_lru_keeps_first_binding () =
+  let t = Lru.create ~budget:10 () in
+  ignore (Lru.add t "a" 1 ~weight:3);
+  Alcotest.(check int) "re-add evicts nothing" 0 (Lru.add t "a" 2 ~weight:3);
+  Alcotest.(check (option int)) "first value kept" (Some 1) (Lru.find t "a");
+  Alcotest.(check int) "weight counted once" 3 (Lru.weight t);
+  Alcotest.(check int) "over-budget entry refused" 0 (Lru.add t "z" 9 ~weight:11);
+  Alcotest.(check (option int)) "not admitted" None (Lru.find t "z");
+  Lru.clear t;
+  Alcotest.(check int) "cleared" 0 (Lru.length t + Lru.weight t);
+  ignore (Lru.add t "b" 1 ~weight:1);
+  Alcotest.(check (option int)) "usable after clear" (Some 1) (Lru.find t "b")
+
 let suite =
   [
     ("rng deterministic", `Quick, test_rng_deterministic);
@@ -471,4 +500,6 @@ let suite =
     ("pool cancel skips unstarted", `Quick, test_pool_cancel_skips_unstarted);
     ("pool cancelled hook", `Quick, test_pool_cancelled_hook);
     ("pool priority batch completes", `Quick, test_pool_priority_batch_completes);
+    ("lru evicts least recent", `Quick, test_lru_evicts_least_recent);
+    ("lru keeps first binding", `Quick, test_lru_keeps_first_binding);
   ]

@@ -28,6 +28,24 @@ let test_program_cached () =
   Alcotest.(check bool) "same physical program" true
     (W.Suites.program bm == W.Suites.program bm)
 
+let test_program_cache_shared_across_domains () =
+  (* Four domains asking for a not-yet-generated program at once all get
+     the one value the per-program caches downstream key on.  No other test
+     uses this scale, so the first request really generates. *)
+  let bm = W.Suites.find "mpegaudio" in
+  let ready = Atomic.make 0 in
+  let fetch () =
+    Atomic.incr ready;
+    while Atomic.get ready < 4 do
+      Domain.cpu_relax ()
+    done;
+    W.Suites.program_scaled bm ~scale:37
+  in
+  let progs = List.map Domain.join (List.init 4 (fun _ -> Domain.spawn fetch)) in
+  let first = List.hd progs in
+  Alcotest.(check bool) "physically equal" true (List.for_all (fun p -> p == first) progs);
+  Alcotest.(check bool) "and cached" true (W.Suites.program_scaled bm ~scale:37 == first)
+
 (* One test per benchmark: semantics preserved across heuristics and
    scenarios (checksum equality), on both platforms' VM (platform only
    changes costs, never results). *)
@@ -341,4 +359,6 @@ let corpus_suite =
     ("corpus semantics preserved", `Slow, test_corpus_semantics_preserved);
   ]
 
-let suite = suite @ scale_suite @ corpus_suite
+let suite =
+  suite @ scale_suite @ corpus_suite
+  @ [ ("program cache shared across domains", `Quick, test_program_cache_shared_across_domains) ]
