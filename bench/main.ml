@@ -560,6 +560,9 @@ let tuner_bench () =
   List.iter
     (fun bm -> ignore (Measure.run_default ~scenario:Machine.Opt ~platform:Platform.x86 bm))
     suite;
+  (* Under Opt every simulation interprets its first iteration and replays
+     the rest; counted over both runs. *)
+  let r0 = value "vm.replayed_iterations" in
   let timed_run () =
     let s0 = value "measure.simulations" in
     let t0 = Inltune_support.Pool.now () in
@@ -584,6 +587,7 @@ let tuner_bench () =
   and cc_misses = value "vm.compile_cache.misses" - cm0
   and cc_evictions = value "vm.compile_cache.evictions" - ce0
   and cc_instrs = value "vm.compile_cache.instrs" in
+  let replayed = value "vm.replayed_iterations" - r0 in
   let identical_best = off.Tuner.ga.Inltune_ga.Evolve.best = on.Tuner.ga.Inltune_ga.Evolve.best in
   let identical_history =
     off.Tuner.ga.Inltune_ga.Evolve.history = on.Tuner.ga.Inltune_ga.Evolve.history
@@ -610,6 +614,7 @@ let tuner_bench () =
   Table.print t;
   Printf.printf "compiled-method cache (cache on): %d hits, %d misses, %d evictions, %d instrs held\n"
     cc_hits cc_misses cc_evictions cc_instrs;
+  Printf.printf "replayed steady-state iterations (both runs): %d\n" replayed;
   Printf.printf "best genome identical: %b   per-generation history identical: %b\n"
     identical_best identical_history;
   let oc = open_out "BENCH_tuner.json" in
@@ -619,12 +624,12 @@ let tuner_bench () =
      \"cache_on\":{\"wall_s\":%.3f,\"simulations\":%d,\"sig_hits\":%d,\"sig_misses\":%d,\
      \"unique_plans\":%d,\"compile_cache\":{\"hits\":%d,\"misses\":%d,\"evictions\":%d,\
      \"instrs\":%d}},\
-     \"simulations_avoided\":%d,\"avoided_fraction\":%.4f,\
+     \"simulations_avoided\":%d,\"avoided_fraction\":%.4f,\"replayed_iterations\":%d,\
      \"identical_best\":%b,\"identical_history\":%b}\n"
     (String.concat "," (List.map (fun bm -> "\"" ^ bm.W.Suites.bname ^ "\"") suite))
     budget.Tuner.pop budget.Tuner.gens budget.Tuner.seed wall_off sims_off wall_on sims_on
     sig_hits sig_misses unique_plans cc_hits cc_misses cc_evictions cc_instrs avoided frac
-    identical_best identical_history;
+    replayed identical_best identical_history;
   close_out oc;
   print_endline "wrote BENCH_tuner.json\n";
   if not (identical_best && identical_history) then begin

@@ -8,31 +8,42 @@ open Inltune_jir
 
 let analysis_budget = 2_000_000
 
-let run m =
-  if Array.length m.Ir.blocks * m.Ir.nregs > analysis_budget then (m, 0)
-  else
-  let nregs = m.Ir.nregs in
+(* copy_of.(r) = s >= 0 when r currently holds a copy of s, -1 otherwise.
+   copiers.(s) over-approximates the registers copying s (it may hold stale
+   entries from registers since redefined; [invalidate] re-checks), so
+   killing the copies of a redefined source is proportional to the copies
+   made, not to nregs.  Both tables are nonempty only at registers a copy in
+   the current block touched; [touched] lists those (with repeats, and
+   before they are written), so each block starts clean at a cost
+   proportional to the previous block's copies rather than to nregs.  The
+   tables are per-domain scratch, released clean, because allocated per
+   compile they were nregs-sized blocks churning the major heap. *)
+type tables = {
+  copy_of : int array;
+  copiers : int list array;
+  mutable touched : int list;
+}
+
+let tables_scratch =
+  Inltune_support.Scratch.create
+    ~size:(fun t -> Array.length t.copy_of)
+    ~make:(fun n -> { copy_of = Array.make n (-1); copiers = Array.make n []; touched = [] })
+
+let clean t =
+  List.iter
+    (fun r ->
+      t.copy_of.(r) <- -1;
+      t.copiers.(r) <- [])
+    t.touched;
+  t.touched <- []
+
+let run_with tables m =
+  let copy_of = tables.copy_of and copiers = tables.copiers in
   let rewritten = ref 0 in
-  (* copy_of.(r) = s >= 0 when r currently holds a copy of s, -1 otherwise.
-     copiers.(s) over-approximates the registers copying s (it may hold
-     stale entries from registers since redefined; [invalidate] re-checks),
-     so killing the copies of a redefined source is proportional to the
-     copies made, not to nregs.  Both tables are nonempty only at registers
-     a copy in the current block touched; [touched] lists those (with
-     repeats), so each block starts clean at a cost proportional to the
-     previous block's copies rather than to nregs. *)
-  let copy_of = Array.make nregs (-1) in
-  let copiers = Array.make nregs [] in
-  let touched = ref [] in
   let blocks =
     Array.map
       (fun blk ->
-        List.iter
-          (fun r ->
-            copy_of.(r) <- -1;
-            copiers.(r) <- [])
-          !touched;
-        touched := [];
+        clean tables;
         let resolve r =
           let s = copy_of.(r) in
           if s >= 0 then begin
@@ -126,9 +137,9 @@ let run m =
             invalidate d;
             match i' with
             | Ir.Move (d, s) when d <> s ->
+              tables.touched <- d :: s :: tables.touched;
               copy_of.(d) <- s;
-              copiers.(s) <- d :: copiers.(s);
-              touched := d :: s :: !touched
+              copiers.(s) <- d :: copiers.(s)
             | _ -> ()
           end
         done;
@@ -147,3 +158,14 @@ let run m =
       m.Ir.blocks
   in
   ({ m with Ir.blocks }, !rewritten)
+
+let run m =
+  if Array.length m.Ir.blocks * m.Ir.nregs > analysis_budget then (m, 0)
+  else begin
+    let tables = Inltune_support.Scratch.take tables_scratch m.Ir.nregs in
+    Fun.protect
+      ~finally:(fun () ->
+        clean tables;
+        Inltune_support.Scratch.release tables_scratch tables)
+      (fun () -> run_with tables m)
+  end

@@ -40,16 +40,29 @@ let cmp_tag = function
   | Ir.Gt -> 14
   | Ir.Ge -> 15
 
-let run m =
+(* vns.(r) = the value number currently held by register r, valid only
+   when stamp.(r) is the current block's epoch; otherwise r holds its
+   initial value number -r - 1.  Epoch stamping makes entering a block O(1)
+   in nregs instead of re-initializing an nregs-sized array, and lets the
+   tables be per-domain scratch (allocated per compile they were
+   nregs-sized blocks churning the major heap) reused without clearing:
+   the epoch only grows over a buffer's life, so a stamp left by an
+   earlier run is never the current one. *)
+type tables = {
+  vns : int array;
+  stamp : int array;
+  mutable epoch : int;
+}
+
+let tables_scratch =
+  Inltune_support.Scratch.create
+    ~size:(fun t -> Array.length t.vns)
+    ~make:(fun n -> { vns = Array.make n 0; stamp = Array.make n 0; epoch = 0 })
+
+let run_with tables m =
   let nregs = m.Ir.nregs in
+  let vns = tables.vns and stamp = tables.stamp in
   let replaced = ref 0 in
-  (* vns.(r) = the value number currently held by register r, valid only
-     when stamp.(r) is the current block's epoch; otherwise r holds its
-     initial value number -r - 1.  Epoch stamping makes entering a block
-     O(1) in nregs instead of re-initializing an nregs-sized array. *)
-  let vns = Array.make nregs 0 in
-  let stamp = Array.make nregs 0 in
-  let epoch = ref 0 in
   (* Fresh value numbers are unique across the whole method (the counter is
      not reset per block), which is what lets one hash table serve every
      block without clearing: a stale entry (r, v) from an earlier block can
@@ -73,8 +86,8 @@ let run m =
   let blocks =
     Array.map
       (fun blk ->
-        incr epoch;
-        let e = !epoch in
+        tables.epoch <- tables.epoch + 1;
+        let e = tables.epoch in
         let vn r = if stamp.(r) = e then vns.(r) else -r - 1 in
         let set_vn r v =
           stamp.(r) <- e;
@@ -159,3 +172,9 @@ let run m =
       m.Ir.blocks
   in
   ({ m with Ir.blocks }, !replaced)
+
+let run m =
+  let tables = Inltune_support.Scratch.take tables_scratch m.Ir.nregs in
+  Fun.protect
+    ~finally:(fun () -> Inltune_support.Scratch.release tables_scratch tables)
+    (fun () -> run_with tables m)

@@ -8,6 +8,9 @@
 
 type t = {
   tags : int array;     (* -1 = invalid *)
+  first : int array;
+      (* per set, the line installed by its first miss (the miss that found
+         the set invalid); -1 while the set was never touched *)
   line_bits : int;
   index_mask : int;
   mutable accesses : int;
@@ -25,6 +28,7 @@ let create ~bytes ~line_bytes =
   if nlines land (nlines - 1) <> 0 then invalid_arg "Icache.create: line count not a power of two";
   {
     tags = Array.make nlines (-1);
+    first = Array.make nlines (-1);
     line_bits = log2 line_bytes;
     index_mask = nlines - 1;
     accesses = 0;
@@ -36,8 +40,10 @@ let access t addr =
   t.accesses <- t.accesses + 1;
   let line = addr lsr t.line_bits in
   let idx = line land t.index_mask in
-  if t.tags.(idx) = line then false
+  let old = t.tags.(idx) in
+  if old = line then false
   else begin
+    if old < 0 then t.first.(idx) <- line;
     t.tags.(idx) <- line;
     t.misses <- t.misses + 1;
     true

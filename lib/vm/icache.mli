@@ -7,6 +7,11 @@
 
 type t = {
   tags : int array;  (** -1 = invalid *)
+  first : int array;
+      (** per set, the line installed by the set's first miss (the one that
+          found it invalid), -1 for a set never touched.  Later misses never
+          overwrite it.  With [tags] this is all a steady-state replay needs
+          to know about the cache (see [Machine.replay_iteration]). *)
   line_bits : int;
   index_mask : int;
   mutable accesses : int;
@@ -17,7 +22,8 @@ type t = {
     two. *)
 val create : bytes:int -> line_bytes:int -> t
 
-(** [access t addr] touches the line containing [addr]; true means miss. *)
+(** [access t addr] touches the line containing [addr]; true means miss.
+    A miss into an invalid set also records the line in [first]. *)
 val access : t -> int -> bool
 
 val miss_rate : t -> float

@@ -19,8 +19,19 @@ module Prof = Inltune_obs.Prof
    Cycle accounting: [exec_cycles] is pure interpretation (instruction costs
    scaled by the tier's code-quality multiplier, plus I-cache miss
    penalties); [compile_cycles] accrues on every compilation.  Both are part
-   of "total time"; the second iteration's exec cycles alone are "running
-   time", per the paper's methodology. *)
+   of "total time"; the later iterations' exec cycles alone are "running
+   time", per the paper's methodology.
+
+   Under Opt with the flat interpreter, [Runner.measure] interprets only the
+   first iteration and derives the later ones with [replay_iteration]: every
+   method is compiled by then and nothing recompiles, so a later iteration
+   executes the same instructions at the same addresses and differs only in
+   the first access to each direct-mapped I-cache set.  That access missed
+   in iteration 1 (the set was invalid) and misses later only if the line
+   it installed, recorded in [Icache.first] on the cold-miss path, is not
+   the line the set ended iteration 1 holding; after it the set behaves the
+   same in every iteration.  Adapt, Ladder and the reference interpreter
+   interpret every iteration. *)
 
 exception Trap of string
 exception Out_of_fuel
@@ -562,7 +573,9 @@ let exec_flat vm mid (args : int array) =
           iacc := !iacc + 1;
           let line = Array.unsafe_get iaddrs s lsr iline_bits in
           let idx = line land iindex_mask in
-          if Array.unsafe_get itags idx <> line then begin
+          let old = Array.unsafe_get itags idx in
+          if old <> line then begin
+            if old < 0 then Array.unsafe_set icache.Icache.first idx line;
             Array.unsafe_set itags idx line;
             imiss := !imiss + 1;
             cycles := !cycles + miss_penalty
@@ -722,7 +735,9 @@ let exec_flat vm mid (args : int array) =
           iacc := !iacc + 1;
           let line = Array.unsafe_get iaddrs s lsr iline_bits in
           let idx = line land iindex_mask in
-          if Array.unsafe_get itags idx <> line then begin
+          let old = Array.unsafe_get itags idx in
+          if old <> line then begin
+            if old < 0 then Array.unsafe_set icache.Icache.first idx line;
             Array.unsafe_set itags idx line;
             imiss := !imiss + 1;
             cycles := !cycles + miss_penalty
@@ -736,7 +751,9 @@ let exec_flat vm mid (args : int array) =
           iacc := !iacc + 1;
           let line = Array.unsafe_get iaddrs s lsr iline_bits in
           let idx = line land iindex_mask in
-          if Array.unsafe_get itags idx <> line then begin
+          let old = Array.unsafe_get itags idx in
+          if old <> line then begin
+            if old < 0 then Array.unsafe_set icache.Icache.first idx line;
             Array.unsafe_set itags idx line;
             imiss := !imiss + 1;
             cycles := !cycles + miss_penalty
@@ -754,7 +771,9 @@ let exec_flat vm mid (args : int array) =
           iacc := !iacc + 1;
           let line = Array.unsafe_get iaddrs s lsr iline_bits in
           let idx = line land iindex_mask in
-          if Array.unsafe_get itags idx <> line then begin
+          let old = Array.unsafe_get itags idx in
+          if old <> line then begin
+            if old < 0 then Array.unsafe_set icache.Icache.first idx line;
             Array.unsafe_set itags idx line;
             imiss := !imiss + 1;
             cycles := !cycles + miss_penalty
@@ -793,7 +812,9 @@ let exec_flat vm mid (args : int array) =
           iacc := !iacc + 1;
           let line = Array.unsafe_get iaddrs s lsr iline_bits in
           let idx = line land iindex_mask in
-          if Array.unsafe_get itags idx <> line then begin
+          let old = Array.unsafe_get itags idx in
+          if old <> line then begin
+            if old < 0 then Array.unsafe_set icache.Icache.first idx line;
             Array.unsafe_set itags idx line;
             imiss := !imiss + 1;
             cycles := !cycles + miss_penalty
@@ -906,6 +927,18 @@ type iteration = {
   it_outputs : int array;
 }
 
+let trace_iteration vm ~exec_cycles ~compile_cycles ~steps =
+  if Trace.enabled () then
+    Trace.emit "vm.iteration"
+      ~fields:
+        [
+          ("prog", Event.Str vm.prog.Ir.pname);
+          ("scenario", Event.Str (scenario_name vm.cfg.scenario));
+          ("exec_cycles", Event.Int exec_cycles);
+          ("compile_cycles", Event.Int compile_cycles);
+          ("steps", Event.Int steps);
+        ]
+
 (* One run of [main].  Compiled-code state, profile, and the I-cache persist
    across iterations (the warmed VM); the heap and output log are fresh per
    iteration so results are comparable. *)
@@ -922,16 +955,8 @@ let run_iteration vm =
     Inltune_obs.Metric.add (Inltune_obs.Metric.counter "vm.frames_reused") vm.frames_reused;
     vm.frames_reused <- 0
   end;
-  if Trace.enabled () then
-    Trace.emit "vm.iteration"
-      ~fields:
-        [
-          ("prog", Event.Str vm.prog.Ir.pname);
-          ("scenario", Event.Str (scenario_name vm.cfg.scenario));
-          ("exec_cycles", Event.Int (vm.exec_cycles - exec0));
-          ("compile_cycles", Event.Int (vm.compile_cycles - comp0));
-          ("steps", Event.Int (vm.steps - steps0));
-        ];
+  trace_iteration vm ~exec_cycles:(vm.exec_cycles - exec0)
+    ~compile_cycles:(vm.compile_cycles - comp0) ~steps:(vm.steps - steps0);
   {
     ret;
     it_exec_cycles = vm.exec_cycles - exec0;
@@ -940,6 +965,38 @@ let run_iteration vm =
     it_out_hash = vm.out_hash;
     it_outputs = Inltune_support.Vec.to_array vm.outputs;
   }
+
+(* A later iteration under Opt, derived from the first instead of
+   interpreted.  Precondition: since [create], [vm] ran exactly one
+   [run_iteration], which returned [first] and made [accesses] I-cache
+   accesses and [misses] misses, plus any number of replays.  Under Opt
+   that iteration compiled every method it called and nothing recompiles,
+   so iteration k runs the same instruction stream at the same code
+   addresses, from a fresh heap: same result, outputs, steps and fuel, and
+   the same I-cache access sequence.  Per direct-mapped set, only the first
+   access can behave differently: it missed in iteration 1 (the set was
+   invalid) and misses in iteration k only if the line it wants,
+   [first.(s)], is not the one the set ended iteration 1 holding.  From the
+   second access on the set's state is the same in both iterations, so it
+   ends iteration k holding the same line again and every later iteration
+   repeats iteration k exactly. *)
+let replay_iteration vm first ~accesses ~misses =
+  if vm.cfg.scenario <> Opt then invalid_arg "Machine.replay_iteration: Opt only";
+  let ic = vm.icache in
+  (* sets whose first access missed in iteration 1 and hits from now on *)
+  let warm = ref 0 in
+  Array.iteri
+    (fun s line -> if line >= 0 && line = Array.unsafe_get ic.Icache.tags s then incr warm)
+    ic.Icache.first;
+  let warm = !warm in
+  let exec_cycles = first.it_exec_cycles - (vm.plat.Platform.miss_penalty * warm) in
+  vm.exec_cycles <- vm.exec_cycles + exec_cycles;
+  vm.steps <- vm.steps + first.it_steps;
+  ic.Icache.accesses <- ic.Icache.accesses + accesses;
+  ic.Icache.misses <- ic.Icache.misses + (misses - warm);
+  Inltune_obs.Metric.incr (Inltune_obs.Metric.counter "vm.replayed_iterations");
+  trace_iteration vm ~exec_cycles ~compile_cycles:0 ~steps:first.it_steps;
+  { first with it_exec_cycles = exec_cycles; it_compile_cycles = 0 }
 
 let opt_compiles vm = vm.opt_compiles
 let o1_compiles vm = vm.o1_compiles

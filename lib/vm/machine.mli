@@ -131,6 +131,16 @@ type iteration = {
     fresh per iteration. *)
 val run_iteration : t -> iteration
 
+(** [replay_iteration vm first ~accesses ~misses] derives one later
+    iteration of an [Opt] VM from its first instead of interpreting it, and
+    advances [exec_cycles], [steps] and the I-cache counters as running it
+    would.  Precondition: since {!create}, the VM ran exactly one
+    {!run_iteration}, which returned [first] and made [accesses] I-cache
+    accesses and [misses] misses, and any number of replays.  Exact under
+    that precondition (the per-set argument is in the implementation).
+    Raises [Invalid_argument] outside [Opt]. *)
+val replay_iteration : t -> iteration -> accesses:int -> misses:int -> iteration
+
 val opt_compiles : t -> int
 val o1_compiles : t -> int
 val baseline_compiles : t -> int

@@ -136,6 +136,9 @@ sig_hits=$(sed -n 's/.*"sig_hits":\([0-9]*\).*/\1/p' BENCH_tuner.json)
 # ... and the cache-on search must reuse compiled methods across simulations.
 cc_hits=$(sed -n 's/.*"compile_cache":{"hits":\([0-9]*\).*/\1/p' BENCH_tuner.json)
 [ "${cc_hits:-0}" -gt 0 ] || { echo "expected compile_cache hits > 0, got ${cc_hits:-none}"; exit 1; }
+# ... and Opt simulations must replay their steady-state iterations.
+replayed=$(sed -n 's/.*"replayed_iterations":\([0-9]*\).*/\1/p' BENCH_tuner.json)
+[ "${replayed:-0}" -gt 0 ] || { echo "expected replayed_iterations > 0, got ${replayed:-none}"; exit 1; }
 
 echo "== plan smoke =="
 # The pass-manager layer: the canonical plan text is a serialization
@@ -260,18 +263,25 @@ echo "== flat-interpreter identity smoke =="
 # writes to stderr under concurrent process substitution and would show up
 # as spurious diffs.
 BIN=./_build/default/bin/main.exe
+# Under Opt the flat side replays its steady-state iterations while the
+# reference interprets them, so the extra ppc / five-iteration pair checks
+# the replay on the other cache geometry and over several replays.
+flat_vs_reference() {
+  flat=$("$BIN" run "$@")
+  tree=$(INLTUNE_VM_REFERENCE=1 "$BIN" run "$@")
+  [ "$flat" = "$tree" ] || {
+    echo "flat vs reference interpreter differ on run $*:"
+    echo "--- flat ---"; echo "$flat"
+    echo "--- reference ---"; echo "$tree"
+    exit 1
+  }
+}
 for prog in jess compress db; do
   for scen in opt adapt ladder; do
-    flat=$("$BIN" run "$prog" -s "$scen")
-    tree=$(INLTUNE_VM_REFERENCE=1 "$BIN" run "$prog" -s "$scen")
-    [ "$flat" = "$tree" ] || {
-      echo "flat vs reference interpreter differ on $prog/$scen:"
-      echo "--- flat ---"; echo "$flat"
-      echo "--- reference ---"; echo "$tree"
-      exit 1
-    }
+    flat_vs_reference "$prog" -s "$scen"
   done
 done
+flat_vs_reference jess -s opt -p ppc --iterations 5
 # A fixed-seed GA search must also be interpreter-independent end to end:
 # same best genome, same per-generation history, same printed fitness.
 tune_flat=$("$BIN" tune -s opt:tot --pop 4 -g 2 2> /dev/null)

@@ -2,6 +2,7 @@ open Inltune_jir
 open Inltune_vm
 open Inltune_opt
 module Suites = Inltune_workloads.Suites
+module Corpus = Inltune_workloads.Corpus
 
 (* Differential tests for the flat interpreter: the compile-once lowered
    dispatch loop must be bit-identical to the tree-walking reference
@@ -30,12 +31,13 @@ type obs = {
   o_edges : int array;        (* edge_count over all (owner, callee) pairs *)
 }
 
-let observe ~reference cfg plat prog ~iterations =
+let with_reference reference f =
   let prev = Machine.reference_enabled () in
   Machine.set_reference reference;
-  Fun.protect
-    ~finally:(fun () -> Machine.set_reference prev)
-    (fun () ->
+  Fun.protect ~finally:(fun () -> Machine.set_reference prev) f
+
+let observe ~reference cfg plat prog ~iterations =
+  with_reference reference (fun () ->
       let vm = Machine.create cfg plat prog in
       let o_iters = List.init iterations (fun _ -> Machine.run_iteration vm) in
       let p = Machine.profile vm in
@@ -192,11 +194,7 @@ let test_random_programs () =
 let test_out_of_fuel_agrees () =
   let prog = Suites.program_scaled (Suites.find "compress") ~scale:30 in
   let run reference =
-    let prev = Machine.reference_enabled () in
-    Machine.set_reference reference;
-    Fun.protect
-      ~finally:(fun () -> Machine.set_reference prev)
-      (fun () ->
+    with_reference reference (fun () ->
         let cfg = Machine.config ~fuel:10_000 Machine.Opt Heuristic.default in
         let vm = Machine.create cfg Platform.x86 prog in
         match Machine.run_iteration vm with
@@ -207,6 +205,81 @@ let test_out_of_fuel_agrees () =
   Alcotest.(check bool) "both hit the fuel cutoff identically" true (a = b);
   Alcotest.(check bool) "fuel cutoff reached" true (a <> `Returned)
 
+(* --- steady-state replay ---------------------------------------------- *)
+
+(* Under Opt, [Runner.measure] on the flat interpreter interprets only the
+   first iteration and replays the rest; the reference interpreter still
+   interprets every one, so it is the oracle for the replay.  Every field
+   of the measurement record must agree. *)
+let check_measurement name (a : Runner.measurement) (b : Runner.measurement) =
+  let ck what get = Alcotest.(check int) (name ^ ": " ^ what) (get a) (get b) in
+  ck "total cycles" (fun m -> m.Runner.total_cycles);
+  ck "running cycles" (fun m -> m.Runner.running_cycles);
+  ck "first exec cycles" (fun m -> m.Runner.first_exec_cycles);
+  ck "first compile cycles" (fun m -> m.Runner.first_compile_cycles);
+  ck "opt compiles" (fun m -> m.Runner.opt_compiles);
+  ck "baseline compiles" (fun m -> m.Runner.baseline_compiles);
+  ck "code bytes" (fun m -> m.Runner.code_bytes);
+  ck "icache misses" (fun m -> m.Runner.icache_misses);
+  ck "icache accesses" (fun m -> m.Runner.icache_accesses);
+  ck "steps" (fun m -> m.Runner.steps);
+  ck "ret" (fun m -> m.Runner.ret);
+  ck "out hash" (fun m -> m.Runner.out_hash)
+
+let check_replay name ~iterations cfg plat prog =
+  let measure reference =
+    with_reference reference (fun () -> Runner.measure ~iterations cfg plat prog)
+  in
+  check_measurement name (measure false) (measure true)
+
+(* Every benchmark plus one corpus program per family, at reduced size;
+   both platforms (different cache geometry and miss penalty), I-cache on
+   and off, and four deciders: the default heuristic, the Table 1 extremes
+   (which swing code size and so how many sets the hot code collides in),
+   and a policy built against the live profile at each compile (under Opt
+   it sees the first iteration's profile only).  The iteration count
+   rotates through 2, 3 and 5 with the platform, cache and decider indices,
+   so every (program, decider) pair meets all three. *)
+let test_replay_matches_reference () =
+  let programs =
+    List.map (fun bm -> (bm.Suites.bname, Suites.program_scaled bm ~scale:25)) Suites.all
+    @ List.map
+        (fun f -> (f.Corpus.fname, f.Corpus.fgenerate ~index:0 ~scale:25 ()))
+        Corpus.families
+  in
+  let policy_factory profile =
+    Policy.of_custom (fun ~site_owner:_ ~callee ~callee_size ~inline_depth:_ ~caller_size:_ ->
+        callee_size <= 12 || (Profile.invocations profile callee > 0 && callee_size <= 40))
+  in
+  let heuristic h icache_enabled = Machine.config ~icache_enabled Machine.Opt h in
+  let deciders =
+    [
+      ("default", heuristic Heuristic.default);
+      ("max", heuristic (Heuristic.of_array (Array.map snd Heuristic.ranges)));
+      ("min", heuristic (Heuristic.of_array (Array.map fst Heuristic.ranges)));
+      ( "policy",
+        fun icache_enabled ->
+          Machine.config ~icache_enabled ~policy_factory Machine.Opt Heuristic.default );
+    ]
+  in
+  List.iter
+    (fun (prog_name, prog) ->
+      List.iteri
+        (fun pi plat ->
+          List.iteri
+            (fun ci icache_enabled ->
+              List.iteri
+                (fun di (dname, cfg) ->
+                  let iterations = [| 2; 3; 5 |].((pi + ci + di) mod 3) in
+                  check_replay
+                    (Printf.sprintf "%s/%s/icache=%b/%s/x%d" prog_name plat.Platform.pname
+                       icache_enabled dname iterations)
+                    ~iterations (cfg icache_enabled) plat prog)
+                deciders)
+            [ true; false ])
+        [ Platform.x86; Platform.ppc ])
+    programs
+
 let suite =
   [
     Alcotest.test_case "corpus x scenarios identical" `Quick test_corpus_all_scenarios;
@@ -215,4 +288,5 @@ let suite =
     Alcotest.test_case "aggressive heuristic identical" `Quick test_aggressive_heuristic;
     Alcotest.test_case "random programs identical" `Quick test_random_programs;
     Alcotest.test_case "fuel exhaustion agrees" `Quick test_out_of_fuel_agrees;
+    Alcotest.test_case "opt replay matches reference" `Quick test_replay_matches_reference;
   ]

@@ -420,6 +420,38 @@ let test_constprop_threads_share_domain () =
   List.iter Thread.join threads;
   Alcotest.(check int) "concurrent compiles match sequential" 0 (Atomic.get mismatches)
 
+let test_cse_copyprop_threads_share_domain () =
+  (* cse's value-number tables and copyprop's copy tables are per-domain
+     scratch too: two threads of one domain running both passes over the
+     same freshly inlined bodies must each get what a sequential run gets. *)
+  let program = Inltune_workloads.Suites.program (Inltune_workloads.Suites.find "jess") in
+  let greedy = Heuristic.of_array (Array.map snd Heuristic.ranges) in
+  let inline_only =
+    Pipeline.make ~plan:(Plan.without_dataflow Plan.default) (Decider.Heuristic greedy)
+  in
+  let bodies = Array.map (fun m -> fst (Pipeline.run program inline_only m)) program.Ir.methods in
+  let passes () =
+    Array.map
+      (fun m ->
+        let m, replaced = Cse.run m in
+        let m, rewritten = Copyprop.run m in
+        (m, replaced, rewritten))
+      bodies
+  in
+  let expected = passes () in
+  Alcotest.(check bool) "both passes rewrite something" true
+    (Array.exists (fun (_, r, _) -> r > 0) expected
+    && Array.exists (fun (_, _, w) -> w > 0) expected);
+  let mismatches = Atomic.make 0 in
+  let worker () =
+    for _ = 1 to 20 do
+      if passes () <> expected then Atomic.incr mismatches
+    done
+  in
+  let threads = List.init 2 (fun _ -> Thread.create worker ()) in
+  List.iter Thread.join threads;
+  Alcotest.(check int) "concurrent passes match sequential" 0 (Atomic.get mismatches)
+
 (* --- DCE --- *)
 
 let test_dce_removes_dead_pure () =
@@ -806,4 +838,5 @@ let suite =
   @ [
       ("copyprop copies stay in their block", `Quick, test_copyprop_copies_stay_in_their_block);
       ("constprop threads share a domain", `Quick, test_constprop_threads_share_domain);
+      ("cse and copyprop threads share a domain", `Quick, test_cse_copyprop_threads_share_domain);
     ]

@@ -28,6 +28,21 @@ let test_icache_counters () =
   Icache.reset_counters c;
   Alcotest.(check int) "reset" 0 (Icache.accesses c)
 
+let test_icache_records_first_install () =
+  let c = Icache.create ~bytes:1024 ~line_bytes:64 in
+  (* 16 sets; lines 2 and 18 (addresses 128 and 1152) share set 2. *)
+  ignore (Icache.access c 128);
+  Alcotest.(check int) "first install recorded" 2 c.Icache.first.(2);
+  ignore (Icache.access c 1152);
+  ignore (Icache.access c 128);
+  ignore (Icache.access c 1152);
+  Alcotest.(check int) "later misses keep the first line" 2 c.Icache.first.(2);
+  Alcotest.(check int) "tag follows the last miss" 18 c.Icache.tags.(2);
+  Array.iteri
+    (fun s line ->
+      if s <> 2 then Alcotest.(check int) (Printf.sprintf "set %d untouched" s) (-1) line)
+    c.Icache.first
+
 let test_icache_rejects_bad_geometry () =
   Alcotest.(check bool) "non-power-of-two rejected" true
     (try
@@ -346,6 +361,7 @@ let suite =
     ("runner rejects 1 iteration", `Quick, test_runner_rejects_single_iteration);
     ("icache ablation is faster without cache", `Quick, test_icache_disabled_is_faster);
     ("observe returns the checksum", `Quick, test_observe_matches_checksum);
+    ("icache records each set's first install", `Quick, test_icache_records_first_install);
   ]
 
 (* --- Ladder scenario (multi-level recompilation extension) --- *)
