@@ -268,6 +268,15 @@ let resume_arg =
   in
   Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"FILE" ~doc)
 
+(* A checkpoint that cannot be resumed (missing, written by another run or
+   genome kind) is a usage error, not a crash. *)
+let resuming f =
+  try f () with Inltune_ga.Evolve.Cannot_resume msg -> die "cannot resume: %s" msg
+
+(* A population the search engine would refuse is rejected before any work
+   starts, with the engine's own reason. *)
+let check_pop pop = function Ok () -> () | Error msg -> die "bad --pop %d: %s" pop msg
+
 let max_retries_arg =
   let doc =
     "How many times to retry a transiently failing fitness evaluation before the genome is \
@@ -316,6 +325,12 @@ let tune_cmd =
     setup_fitness_cache fcache;
     let id = tuner_scenario_of_flag scenario in
     let budget = { Tuner.pop; gens; seed } in
+    let gp_params =
+      { Gp.Evolve.default_params with Gp.Evolve.pop_size = pop; generations = gens; seed; domains }
+    in
+    check_pop pop
+      (if evolve_policy then Gp.Evolve.validate gp_params
+       else Inltune_ga.Evolve.validate (Tuner.ga_params budget));
     let plan = plan_of_flag planfile in
     if tune_passes && Option.is_some plan then
       die "--tune-passes evolves the plan itself; it cannot be combined with --plan";
@@ -364,20 +379,12 @@ let tune_cmd =
           in
           Some (P.Dataset.to_training examples)
       in
-      let params =
-        {
-          Gp.Evolve.default_params with
-          Gp.Evolve.pop_size = pop;
-          generations = gens;
-          seed;
-          domains;
-        }
-      in
       let guard = { Gp.Evolve.default_guard with Inltune_ga.Evolve.max_retries } in
       let r =
-        Gp.Evolve.run ?on_generation ?on_stats ~guard ?checkpoint ?resume ?dataset
-          ~suite:W.Suites.spec ~scenario:spec.Tuner.scenario ~platform:spec.Tuner.platform
-          ~goal:spec.Tuner.goal ~params ()
+        resuming (fun () ->
+            Gp.Evolve.run ?on_generation ?on_stats ~guard ?checkpoint ?resume ?dataset
+              ~suite:W.Suites.spec ~scenario:spec.Tuner.scenario ~platform:spec.Tuner.platform
+              ~goal:spec.Tuner.goal ~params:gp_params ())
       in
       Printf.printf "scenario: %s\n" spec.Tuner.label;
       (match r.Gp.Evolve.stopped with
@@ -406,8 +413,9 @@ let tune_cmd =
     end
     else if tune_passes then begin
       let o =
-        Tuner.tune_plan ~budget ?on_generation ?on_stats ?checkpoint ?resume ~max_retries
-          ?domains id
+        resuming (fun () ->
+            Tuner.tune_plan ~budget ?on_generation ?on_stats ?checkpoint ?resume ~max_retries
+              ?domains id)
       in
       Printf.printf "scenario: %s\n" o.Tuner.p_spec.Tuner.label;
       (match o.Tuner.p_degraded with
@@ -420,8 +428,9 @@ let tune_cmd =
     end
     else begin
       let o =
-        Tuner.tune ~budget ?on_generation ?on_stats ?checkpoint ?resume ~max_retries ?domains
-          ?plan id
+        resuming (fun () ->
+            Tuner.tune ~budget ?on_generation ?on_stats ?checkpoint ?resume ~max_retries
+              ?domains ?plan id)
       in
       Printf.printf "scenario: %s\n" o.Tuner.spec.Tuner.label;
       (match o.Tuner.degraded with
@@ -845,6 +854,7 @@ let eval_policy_cmd =
         else begin
           Printf.eprintf "[inltune] GA-tuning the comparison heuristic (use --no-tuned to skip)\n%!";
           let budget = { Tuner.pop; gens; seed } in
+          check_pop pop (Inltune_ga.Evolve.validate (Tuner.ga_params budget));
           let o = Tuner.tune ~budget ?domains Tuner.Opt_tot_x86 in
           Some o.Tuner.heuristic
         end
@@ -984,6 +994,7 @@ let experiment_cmd =
     let domains = domains_of_flag domains in
     setup_fitness_cache fcache;
     let budget = { Tuner.pop; gens; seed } in
+    check_pop pop (Inltune_ga.Evolve.validate (Tuner.ga_params budget));
     if id = "policy" then policy_experiment ~verbose:(not quiet) ~budget ?domains ()
     else begin
       (* One experiment tunes several scenarios, so the checkpoint/resume paths
@@ -992,7 +1003,7 @@ let experiment_cmd =
         Experiments.make_ctx ~verbose:(not quiet) ~budget ?checkpoint ?resume ~max_retries
           ?domains ()
       in
-      Experiments.run_one ctx id
+      resuming (fun () -> Experiments.run_one ctx id)
     end
   in
   let id =

@@ -140,10 +140,17 @@ let walk_signature info prog policy_of =
 (* Signatures that are not an exact walk. *)
 let opaque sg = (sg, None)
 
-(* The signature plus, when it is an exact walk, its per-method decision
-   strings. *)
-let signature_walk ~scenario ~heuristic ~inline_enabled ~plan prog =
-  let plan = effective_plan ~inline_enabled plan in
+type decider =
+  | Heuristic of Heuristic.t
+  | Policy of { policy : Profile.t -> Policy.t; digest : string; static : bool }
+
+(* What a static policy is handed for the walk: it promises not to read the
+   profile, so an empty one stands in for the VM's live profile. *)
+let no_profile = Profile.create 0
+
+(* The heuristic's signature (over the effective plan), plus its
+   per-method decision strings when it is an exact walk. *)
+let heuristic_signature ~scenario ~plan heuristic prog =
   let heuristic_params () =
     Printf.sprintf "h:%s"
       (String.concat ","
@@ -215,9 +222,6 @@ let signature_walk ~scenario ~heuristic ~inline_enabled ~plan prog =
       Buffer.contents buf
     end
 
-let signature ~scenario ~heuristic ~inline_enabled ~plan prog =
-  fst (signature_walk ~scenario ~heuristic ~inline_enabled ~plan prog)
-
 (* First-class policy queries (lib/policy stores, GP trees).  Under [Opt]
    with a walk-compatible plan and a *static* policy — one whose decisions
    read nothing but the program and the site record, never the live profile —
@@ -233,22 +237,27 @@ let signature ~scenario ~heuristic ~inline_enabled ~plan prog =
    walk-incompatible plans — the signature falls back to the caller-supplied
    content [digest] of the policy artifact: sound (identical policies replay
    identical decisions), just no cross-policy merging. *)
-let policy_signature_walk ~scenario ~policy ~digest ~static ~inline_enabled ~plan prog =
+let signature_walk ~scenario ~decider ~inline_enabled ~plan prog =
   let plan = effective_plan ~inline_enabled plan in
-  let skip = match scenario with Machine.Opt -> opt_skip | _ -> fun _ -> false in
-  if not (Plan.has_enabled "inline" plan) then
-    (* The policy drives only the inline item; with it off the execution is
-       policy-independent — "off" when nothing inlines at all, an opaque
-       constant (isolated by the key's plan tag) when strategies still run. *)
-    opaque (if any_enabled_inliner ~skip plan then "n:static" else "off")
-  else
-    match scenario with
-    | Machine.Opt when static && Plan.walk_compatible plan ->
-      walk_signature (pinfo_of prog) prog (fun _ -> policy)
-    | Machine.Opt | Machine.Adapt | Machine.Ladder -> opaque ("g:" ^ digest)
+  match decider with
+  | Heuristic h -> heuristic_signature ~scenario ~plan h prog
+  | Policy p -> (
+    let skip = match scenario with Machine.Opt -> opt_skip | _ -> fun _ -> false in
+    if not (Plan.has_enabled "inline" plan) then
+      (* The policy drives only the inline item; with it off the execution
+         is policy-independent — "off" when nothing inlines at all, an
+         opaque constant (isolated by the key's plan tag) when strategies
+         still run. *)
+      opaque (if any_enabled_inliner ~skip plan then "n:static" else "off")
+    else
+      match scenario with
+      | Machine.Opt when p.static && Plan.walk_compatible plan ->
+        let policy = p.policy no_profile in
+        walk_signature (pinfo_of prog) prog (fun _ -> policy)
+      | Machine.Opt | Machine.Adapt | Machine.Ladder -> opaque ("g:" ^ p.digest))
 
-let policy_signature ~scenario ~policy ~digest ~static ~inline_enabled ~plan prog =
-  fst (policy_signature_walk ~scenario ~policy ~digest ~static ~inline_enabled ~plan prog)
+let signature ~scenario ~decider ~inline_enabled ~plan prog =
+  fst (signature_walk ~scenario ~decider ~inline_enabled ~plan prog)
 
 (* Non-default plans change what every compile does, so their measurements
    must never alias the default plan's: the key carries a plan tag — a fixed
@@ -257,18 +266,15 @@ let plan_tag plan = if Plan.is_default plan then "default" else "plan:" ^ Plan.d
 
 (* The full key, and the compiled-method cache walk that a simulation
    started on a miss receives when the signature is exact. *)
-let key_walk ~scenario ~platform ~iterations ~plan prog (sg, decisions) =
+let key_walk ~scenario ~platform ~decider ~inline_enabled ~plan ~iterations prog =
+  let sg, decisions = signature_walk ~scenario ~decider ~inline_enabled ~plan prog in
   let digest = program_digest prog in
   ( Printf.sprintf "%s/%s/%s/%s/%d/%s" digest (Machine.scenario_name scenario)
       platform.Platform.pname (plan_tag plan) iterations sg,
     Option.map (fun decisions -> { Compile_cache.program = digest; decisions }) decisions )
 
-let heuristic_key_walk ~scenario ~platform ~heuristic ~inline_enabled ~plan ~iterations prog =
-  key_walk ~scenario ~platform ~iterations ~plan prog
-    (signature_walk ~scenario ~heuristic ~inline_enabled ~plan prog)
-
-let key ~scenario ~platform ~heuristic ~inline_enabled ~plan ~iterations prog =
-  fst (heuristic_key_walk ~scenario ~platform ~heuristic ~inline_enabled ~plan ~iterations prog)
+let key ~scenario ~platform ~decider ~inline_enabled ~plan ~iterations prog =
+  fst (key_walk ~scenario ~platform ~decider ~inline_enabled ~plan ~iterations prog)
 
 (* --- the cache proper --------------------------------------------------- *)
 
@@ -447,10 +453,10 @@ let count_tenant_hit k =
     Mutex.unlock mu;
     if cross then bump "fitness.cross_tenant_hits"
 
-let mem ~scenario ~platform ~heuristic ~inline_enabled ~plan ~iterations prog =
+let mem ~scenario ~platform ~decider ~inline_enabled ~plan ~iterations prog =
   !on
   &&
-  let k = key ~scenario ~platform ~heuristic ~inline_enabled ~plan ~iterations prog in
+  let k = key ~scenario ~platform ~decider ~inline_enabled ~plan ~iterations prog in
   Mutex.lock mu;
   let r = Hashtbl.mem table k in
   Mutex.unlock mu;
@@ -459,46 +465,20 @@ let mem ~scenario ~platform ~heuristic ~inline_enabled ~plan ~iterations prog =
 (* Two domains racing on the same fresh key both simulate (the simulation
    runs outside the lock and is deterministic, so both arrive at the same
    measurement); the first store wins and the counters are best-effort. *)
-let lookup k walk simulate =
-  match find_measurement k with
-  | Some m ->
-    bump "fitness.sig_hits";
-    count_tenant_hit k;
-    m
-  | None ->
-    bump "fitness.sig_misses";
-    let m = simulate walk in
-    store_measurement k m;
-    m
-
-let lookup_or_measure ~scenario ~platform ~heuristic ~inline_enabled ~plan ~iterations
-    ~program simulate =
+let lookup_or_measure ~scenario ~platform ~decider ~inline_enabled ~plan ~iterations ~program
+    simulate =
   if not !on then simulate None
   else
     let k, walk =
-      heuristic_key_walk ~scenario ~platform ~heuristic ~inline_enabled ~plan ~iterations program
+      key_walk ~scenario ~platform ~decider ~inline_enabled ~plan ~iterations program
     in
-    lookup k walk simulate
-
-let policy_key_walk ~scenario ~platform ~policy ~digest ~static ~inline_enabled ~plan
-    ~iterations prog =
-  key_walk ~scenario ~platform ~iterations ~plan prog
-    (policy_signature_walk ~scenario ~policy ~digest ~static ~inline_enabled ~plan prog)
-
-let policy_key ~scenario ~platform ~policy ~digest ~static ~inline_enabled ~plan ~iterations
-    prog =
-  fst
-    (policy_key_walk ~scenario ~platform ~policy ~digest ~static ~inline_enabled ~plan
-       ~iterations prog)
-
-(* The policy twin of [lookup_or_measure]: same table, same counters, same
-   two-tier persistence — only the signature half of the key differs. *)
-let lookup_or_measure_policy ~scenario ~platform ~policy ~digest ~static ~inline_enabled
-    ~plan ~iterations ~program simulate =
-  if not !on then simulate None
-  else
-    let k, walk =
-      policy_key_walk ~scenario ~platform ~policy ~digest ~static ~inline_enabled ~plan
-        ~iterations program
-    in
-    lookup k walk simulate
+    match find_measurement k with
+    | Some m ->
+      bump "fitness.sig_hits";
+      count_tenant_hit k;
+      m
+    | None ->
+      bump "fitness.sig_misses";
+      let m = simulate walk in
+      store_measurement k m;
+      m

@@ -5,10 +5,10 @@ open Inltune_vm
 (** Decision-signature fitness cache.
 
     Before paying for a full VM simulation, compute a cheap semantic key for
-    the (program, scenario, platform, heuristic) query — a signature of the
-    inline/no-inline verdicts the Fig. 3/4 tests produce — and reuse the
-    previously measured {!Inltune_vm.Runner.measurement} whenever it
-    matches.  Distinct genomes with identical decisions (the paper's plateau
+    the (program, scenario, platform, decider) query — a signature of the
+    inline/no-inline verdicts the Fig. 3/4 tests (or a policy) produce — and
+    reuse the previously measured {!Inltune_vm.Runner.measurement} whenever
+    it matches.  Distinct genomes with identical decisions (the paper's plateau
     observation) then cost one simulation instead of many; caching is
     bit-transparent because the compiled code is a function of the decision
     vector alone.
@@ -34,16 +34,31 @@ open Inltune_vm
     programs. *)
 val program_digest : Ir.program -> string
 
+(** What decides the inlining of a query: the Fig. 3/4 heuristic, or a
+    first-class policy.  [policy] is the factory the VM applies to its live
+    profile at each (re)compile; [static] asserts it reads nothing but the
+    program and the site record — never the profile.  Under [Opt] with a
+    walk-compatible plan that makes {!Inltune_opt.Inline.plan_policy} over
+    the constprop'd methods exact, so the signature shares the heuristic
+    walk's ["w:"] namespace and cache hits transfer across structurally
+    different policies (and heuristics) that make identical decisions.
+    Everywhere else a policy's signature is ["g:"] followed by [digest] —
+    the policy artifact's content digest (sound, no cross-policy
+    merging). *)
+type decider =
+  | Heuristic of Heuristic.t
+  | Policy of { policy : Profile.t -> Policy.t; digest : string; static : bool }
+
 (** The decision signature alone (no program digest or platform).
     ["off"] when [inline_enabled] is false or the plan's inline item is
-    disabled — every heuristic then compiles identically.  Under [Opt] with
+    disabled — every decider then compiles identically.  Under [Opt] with
     a plan whose pre-inline schedule differs from the historical one
-    ({!Inltune_opt.Plan.walk_compatible} is false) the signature falls back
-    to the raw heuristic parameters: still sound, just no cross-genome
+    ({!Inltune_opt.Plan.walk_compatible} is false) a heuristic's signature
+    falls back to its raw parameters: still sound, just no cross-genome
     merging. *)
 val signature :
   scenario:Machine.scenario ->
-  heuristic:Heuristic.t ->
+  decider:decider ->
   inline_enabled:bool ->
   plan:Plan.t ->
   Ir.program ->
@@ -55,7 +70,7 @@ val signature :
 val key :
   scenario:Machine.scenario ->
   platform:Platform.t ->
-  heuristic:Heuristic.t ->
+  decider:decider ->
   inline_enabled:bool ->
   plan:Plan.t ->
   iterations:int ->
@@ -97,7 +112,7 @@ val set_file : string option -> unit
 val mem :
   scenario:Machine.scenario ->
   platform:Platform.t ->
-  heuristic:Heuristic.t ->
+  decider:decider ->
   inline_enabled:bool ->
   plan:Plan.t ->
   iterations:int ->
@@ -115,55 +130,7 @@ val mem :
 val lookup_or_measure :
   scenario:Machine.scenario ->
   platform:Platform.t ->
-  heuristic:Heuristic.t ->
-  inline_enabled:bool ->
-  plan:Plan.t ->
-  iterations:int ->
-  program:Ir.program ->
-  (Compile_cache.walk option -> Runner.measurement) ->
-  Runner.measurement
-
-(** Decision signature of a first-class policy.  [static] asserts the policy
-    reads nothing but the program and the site record — never the VM's live
-    profile; under [Opt] with a walk-compatible plan that makes
-    {!Inltune_opt.Inline.plan_policy} over the constprop'd methods exact, so
-    the signature shares the heuristic walk's "w:" namespace and cache hits
-    transfer across structurally different policies (and heuristics) that
-    make identical decisions.  Everywhere else the signature is ["g:"]
-    followed by [digest] — the policy artifact's content digest (sound, no
-    cross-policy merging). *)
-val policy_signature :
-  scenario:Machine.scenario ->
-  policy:Policy.t ->
-  digest:string ->
-  static:bool ->
-  inline_enabled:bool ->
-  plan:Plan.t ->
-  Ir.program ->
-  string
-
-(** Full content-addressed key for a policy query. *)
-val policy_key :
-  scenario:Machine.scenario ->
-  platform:Platform.t ->
-  policy:Policy.t ->
-  digest:string ->
-  static:bool ->
-  inline_enabled:bool ->
-  plan:Plan.t ->
-  iterations:int ->
-  Ir.program ->
-  string
-
-(** {!lookup_or_measure} keyed by {!policy_signature}: same table, counters,
-    and on-disk tier, so policy and heuristic measurements amortize each
-    other whenever their decision signatures coincide. *)
-val lookup_or_measure_policy :
-  scenario:Machine.scenario ->
-  platform:Platform.t ->
-  policy:Policy.t ->
-  digest:string ->
-  static:bool ->
+  decider:decider ->
   inline_enabled:bool ->
   plan:Plan.t ->
   iterations:int ->

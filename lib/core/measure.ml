@@ -29,17 +29,26 @@ let of_measurement m =
    stay attached to the registry across [Metric.reset_all]. *)
 let bump name = Inltune_obs.Metric.incr (Inltune_obs.Metric.counter name)
 
-let run ?(iterations = 3) ?(inline_enabled = true) ?(plan = Plan.default) ~scenario ~platform
-    ~heuristic bm =
+(* The one measurement entry, whatever decides the inlining: a heuristic
+   configures the VM directly, a policy through its profile-aware factory
+   (with the default heuristic underneath, which the policy overrides). *)
+let measure ?(iterations = 3) ?(inline_enabled = true) ?(plan = Plan.default) ~scenario
+    ~platform ~decider bm =
   let prog = Workloads.Suites.program bm in
   let simulate walk =
     bump "measure.simulations";
-    let cfg = Machine.config ~inline_enabled ~plan ?walk scenario heuristic in
+    let cfg =
+      match decider with
+      | Fitcache.Heuristic h -> Machine.config ~inline_enabled ~plan ?walk scenario h
+      | Fitcache.Policy p ->
+        Machine.config ~inline_enabled ~plan ~policy_factory:p.policy ?walk scenario
+          Heuristic.default
+    in
     Runner.measure ~iterations cfg platform prog
   in
   if not (Inltune_obs.Prof.enabled ()) then
     of_measurement
-      (Fitcache.lookup_or_measure ~scenario ~platform ~heuristic ~inline_enabled ~plan ~iterations
+      (Fitcache.lookup_or_measure ~scenario ~platform ~decider ~inline_enabled ~plan ~iterations
          ~program:prog simulate)
   else begin
     (* Profiled path: same calls, plus a "fitness.eval" span whose self time
@@ -58,7 +67,7 @@ let run ?(iterations = 3) ?(inline_enabled = true) ?(plan = Plan.default) ~scena
     let wall = ref 0.0 in
     let m =
       Inltune_obs.Prof.span "fitness.eval" ~on_time:(fun dt -> wall := dt) (fun () ->
-          Fitcache.lookup_or_measure ~scenario ~platform ~heuristic ~inline_enabled ~plan
+          Fitcache.lookup_or_measure ~scenario ~platform ~decider ~inline_enabled ~plan
             ~iterations ~program:prog simulate)
     in
     Inltune_obs.Metric.observe (Inltune_obs.Metric.histogram "fitness.eval_us") (!wall *. 1e6);
@@ -75,6 +84,10 @@ let run ?(iterations = 3) ?(inline_enabled = true) ?(plan = Plan.default) ~scena
           ];
     of_measurement m
   end
+
+let run ?iterations ?inline_enabled ?plan ~scenario ~platform ~heuristic bm =
+  measure ?iterations ?inline_enabled ?plan ~scenario ~platform
+    ~decider:(Fitcache.Heuristic heuristic) bm
 
 (* Measurements with the default (Jikes) heuristic are requested constantly —
    every normalized bar divides by one — so memoize the [times] value itself

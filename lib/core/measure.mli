@@ -14,9 +14,26 @@ type times = {
 
 val of_measurement : Runner.measurement -> times
 
-(** [run ~scenario ~platform ~heuristic bm] simulates the benchmark
-    ([iterations] defaults to 3 so the adaptive system reaches steady
-    state).  [inline_enabled:false] is the Fig. 1 no-inlining baseline;
+(** [measure ~scenario ~platform ~decider bm] simulates the benchmark with
+    [decider] choosing every inlining — the one entry every measurement
+    goes through ([iterations], [inline_enabled] and [plan] as in {!run}).
+    A policy decider's factory is applied to the VM's live profile at each
+    (re)compile.  Results are shared through {!Fitcache}.  With the
+    profiler on, each call is a ["fitness.eval"] span (self time = the cache
+    bookkeeping) and emits a ["fitness.breakdown"] trace event. *)
+val measure :
+  ?iterations:int ->
+  ?inline_enabled:bool ->
+  ?plan:Plan.t ->
+  scenario:Machine.scenario ->
+  platform:Platform.t ->
+  decider:Fitcache.decider ->
+  Workloads.Suites.benchmark ->
+  times
+
+(** [run ~scenario ~platform ~heuristic bm] is {!measure} with the
+    heuristic deciding: it simulates the benchmark ([iterations] defaults
+    to 3 so the adaptive system reaches steady state).  [inline_enabled:false] is the Fig. 1 no-inlining baseline;
     [plan] (default {!Inltune_opt.Plan.default}) selects the optimizing
     tier's pass schedule.  Results are shared through {!Fitcache}: a query
     whose decision signature was already measured reuses that measurement

@@ -60,13 +60,9 @@ let transient_failure = function
   | Inltune_resilience.Faultinject.Injected _ -> true
   | _ -> false
 
-(* Genome-level fitness for the GA.  This is the evaluation stack's fault
-   boundary: each call checks the "eval" fault-injection site, so CI can make
-   the k-th evaluation raise, burn its fuel budget, or return corrupt output
-   and exercise the retry/penalty/quarantine paths end to end. *)
-(* The "eval" fault-injection gate shared by the scalar and grid evaluation
-   paths, so CI can make the k-th evaluation raise, burn its fuel budget, or
-   return corrupt output and exercise retry/penalty/quarantine end to end. *)
+(* The "eval" fault-injection gate every evaluation path checks, so CI can
+   make the k-th evaluation raise, burn its fuel budget, or return corrupt
+   output and exercise retry/penalty/quarantine end to end. *)
 let eval_fault_gate () =
   match Inltune_resilience.Faultinject.check "eval" with
   | Some Inltune_resilience.Faultinject.Raise ->
@@ -77,66 +73,46 @@ let eval_fault_gate () =
   | Some Inltune_resilience.Faultinject.Corrupt -> true
   | None -> false
 
-let genome_fitness ?plan ~suite ~scenario ~platform ~goal =
-  let f = fitness ?plan ~suite ~scenario ~platform ~goal in
-  fun g -> if eval_fault_gate () then Float.nan else f (Heuristic.of_array g)
-
-(* Grid form of {!genome_fitness} for [Evolve.run ?grid]: the benchmark axis
-   is explicit and each (genome, benchmark) cell is one pool work item.  The
-   cell value and the combine are the exact float operations of the scalar
-   path (per-benchmark [perf] in suite order, then geomean), so the two
-   evaluation modes produce bit-identical fitness.  The fault gate moves to
-   cell granularity — each simulation is one "eval" occurrence. *)
-let genome_grid ?plan ~suite ~scenario ~platform ~goal () =
+(* Both evaluation modes of one search over a suite, for any genome
+   representation.  The grid makes the benchmark axis explicit for
+   [Evolve.run ?grid], so each (genome, benchmark) cell is one pool work
+   item and the fault gate is checked per cell (one occurrence per
+   simulation); the scalar form checks it once per genome.  Both apply the
+   same float operations — per-benchmark [perf] in suite order, then
+   [combine] — so the two modes produce bit-identical fitness.  Baselines
+   (default heuristic, default plan) are measured once, up front, on the
+   calling domain, so 1.0 means "the stock system" whatever the genome
+   decodes to. *)
+let evaluator ?iterations ~suite ~scenario ~platform ~goal ~measure ~combine () =
   let baselines =
-    List.map (fun bm -> (bm, Measure.run_default ~scenario ~platform bm)) suite
+    Array.of_list
+      (List.map (fun bm -> (bm, Measure.run_default ?iterations ~scenario ~platform bm)) suite)
   in
-  {
-    Inltune_ga.Evolve.grid_axis = Array.of_list baselines;
-    grid_cell =
-      (fun g (bm, default) ->
-        if eval_fault_gate () then Float.nan
-        else
-          let t = Measure.run ?plan ~scenario ~platform ~heuristic:(Heuristic.of_array g) bm in
-          perf goal ~t ~default);
-    grid_combine = (fun _ cells -> Stats.geomean cells);
-  }
+  let cell g (bm, default) = perf goal ~t:(measure g bm) ~default in
+  ( {
+      Inltune_ga.Evolve.grid_axis = baselines;
+      grid_cell = (fun g c -> if eval_fault_gate () then Float.nan else cell g c);
+      grid_combine = combine;
+    },
+    fun g -> if eval_fault_gate () then Float.nan else combine g (Array.map (cell g) baselines) )
+
+let geomean _ cells = Stats.geomean cells
+
+let genome_evaluator ?plan ~suite ~scenario ~platform ~goal () =
+  evaluator ~suite ~scenario ~platform ~goal ~combine:geomean
+    ~measure:(fun g bm ->
+      Measure.run ?plan ~scenario ~platform ~heuristic:(Heuristic.of_array g) bm)
+    ()
+
+let genome_fitness ?plan ~suite ~scenario ~platform ~goal =
+  snd (genome_evaluator ?plan ~suite ~scenario ~platform ~goal ())
 
 (* Plan-genome mode: the genome is the five Table 1 genes followed by the
    plan genes ({!Params.plan_genome_spec}); heuristic and plan are decoded
-   together per evaluation.  Baselines stay the default heuristic under the
-   default plan, so 1.0 still means "the stock system" and plan-genome
-   fitness values are directly comparable to heuristic-only ones. *)
-let plan_genome_fitness ~suite ~scenario ~platform ~goal =
-  let baselines =
-    List.map (fun bm -> (bm, Measure.run_default ~scenario ~platform bm)) suite
-  in
-  fun g ->
-    if eval_fault_gate () then Float.nan
-    else
+   together per evaluation. *)
+let plan_genome_evaluator ~suite ~scenario ~platform ~goal () =
+  evaluator ~suite ~scenario ~platform ~goal ~combine:geomean
+    ~measure:(fun g bm ->
       let heuristic, plan = Params.split_plan_genome g in
-      let scores =
-        List.map
-          (fun (bm, default) ->
-            let t = Measure.run ~plan ~scenario ~platform ~heuristic bm in
-            perf goal ~t ~default)
-          baselines
-      in
-      Stats.geomean (Array.of_list scores)
-
-let plan_genome_grid ~suite ~scenario ~platform ~goal =
-  let baselines =
-    List.map (fun bm -> (bm, Measure.run_default ~scenario ~platform bm)) suite
-  in
-  {
-    Inltune_ga.Evolve.grid_axis = Array.of_list baselines;
-    grid_cell =
-      (fun g (bm, default) ->
-        if eval_fault_gate () then Float.nan
-        else
-          let heuristic, plan = Params.split_plan_genome g in
-          let t = Measure.run ~plan ~scenario ~platform ~heuristic bm in
-          perf goal ~t ~default);
-    grid_combine = (fun _ cells -> Stats.geomean cells);
-  }
-
+      Measure.run ~plan ~scenario ~platform ~heuristic bm)
+    ()

@@ -37,13 +37,44 @@ val transient_failure : exn -> bool
 (** The ["eval"] fault-injection gate every fitness-evaluation path checks
     (see {!Inltune_resilience.Faultinject}): raises on an injected [Raise],
     burns the fuel budget on [Hang], and returns [true] — evaluate to NaN —
-    on [Corrupt].  Exposed so alternative searches over the same simulations
-    (the GP policy search) share one fault boundary with the GA. *)
+    on [Corrupt]. *)
 val eval_fault_gate : unit -> bool
 
-(** {!fitness} composed with the genome decoding, for the GA.  Each call
-    checks the ["eval"] fault-injection site (see
-    {!Inltune_resilience.Faultinject}), so failure paths are testable. *)
+(** A search's fitness over a suite, for any genome representation, in both
+    evaluation modes: the grid for [Evolve.run ?grid] (the suite is the
+    explicit benchmark axis, every (genome, benchmark) cell one independent
+    pool work item, the ["eval"] fault gate checked per cell) and the scalar
+    function (gate checked once per genome).  A genome's fitness is
+    [combine genome cells], [cells] being {!perf} of [measure genome bm]
+    against the default heuristic, in suite order; both modes use the exact
+    same float operations, so they are bit-identical.  Baselines (default
+    heuristic and plan, [iterations] as given) are measured eagerly on the
+    calling domain; both results are safe to use from worker domains. *)
+val evaluator :
+  ?iterations:int ->
+  suite:Inltune_workloads.Suites.benchmark list ->
+  scenario:Inltune_vm.Machine.scenario ->
+  platform:Inltune_vm.Platform.t ->
+  goal:goal ->
+  measure:('g -> Inltune_workloads.Suites.benchmark -> Measure.times) ->
+  combine:('g -> float array -> float) ->
+  unit ->
+  ('g, Inltune_workloads.Suites.benchmark * Measure.times) Inltune_ga.Evolve.grid
+  * ('g -> float)
+
+(** {!evaluator} for the GA's heuristic genomes under [plan]: the geometric
+    mean of {!perf}. *)
+val genome_evaluator :
+  ?plan:Plan.t ->
+  suite:Inltune_workloads.Suites.benchmark list ->
+  scenario:Inltune_vm.Machine.scenario ->
+  platform:Inltune_vm.Platform.t ->
+  goal:goal ->
+  unit ->
+  (int array, Inltune_workloads.Suites.benchmark * Measure.times) Inltune_ga.Evolve.grid
+  * (int array -> float)
+
+(** The scalar half of {!genome_evaluator}. *)
 val genome_fitness :
   ?plan:Plan.t ->
   suite:Inltune_workloads.Suites.benchmark list ->
@@ -52,41 +83,15 @@ val genome_fitness :
   goal:goal ->
   int array -> float
 
-(** Grid form of {!genome_fitness} for [Evolve.run ?grid]: the suite becomes
-    the explicit benchmark axis and every (genome, benchmark) cell is one
-    independent pool work item, so unique simulations saturate all domains.
-    Cell and combine use the exact float operations of the scalar path —
-    the two evaluation modes are bit-identical.  The ["eval"] fault gate is
-    checked per cell (one occurrence per simulation).  Baselines are
-    measured eagerly on the calling domain. *)
-val genome_grid :
-  ?plan:Plan.t ->
+(** {!genome_evaluator} for plan genomes: the five Table 1 genes followed by
+    the plan genes ({!Params.plan_genome_spec}), decoded together per
+    evaluation ({!Params.split_plan_genome}).  Values are directly
+    comparable to heuristic-only ones. *)
+val plan_genome_evaluator :
   suite:Inltune_workloads.Suites.benchmark list ->
   scenario:Inltune_vm.Machine.scenario ->
   platform:Inltune_vm.Platform.t ->
   goal:goal ->
   unit ->
   (int array, Inltune_workloads.Suites.benchmark * Measure.times) Inltune_ga.Evolve.grid
-
-(** Plan-genome fitness: the genome is the five Table 1 genes followed by
-    the plan genes ({!Params.plan_genome_spec}); heuristic and plan are
-    decoded together per evaluation ({!Params.split_plan_genome}).
-    Baselines stay the default heuristic under the default plan, so values
-    are directly comparable to {!genome_fitness}'s.  Checks the ["eval"]
-    fault gate like {!genome_fitness}. *)
-val plan_genome_fitness :
-  suite:Inltune_workloads.Suites.benchmark list ->
-  scenario:Inltune_vm.Machine.scenario ->
-  platform:Inltune_vm.Platform.t ->
-  goal:goal ->
-  int array -> float
-
-(** Grid form of {!plan_genome_fitness} — same relationship as
-    {!genome_grid} to {!genome_fitness}: bit-identical combine, per-cell
-    fault gate, eager baselines. *)
-val plan_genome_grid :
-  suite:Inltune_workloads.Suites.benchmark list ->
-  scenario:Inltune_vm.Machine.scenario ->
-  platform:Inltune_vm.Platform.t ->
-  goal:goal ->
-  (int array, Inltune_workloads.Suites.benchmark * Measure.times) Inltune_ga.Evolve.grid
+  * (int array -> float)

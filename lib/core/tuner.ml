@@ -63,6 +63,17 @@ type outcome = {
   degraded : string option;  (* why the search stopped early, if it did *)
 }
 
+(* The engine parameters a budget stands for ([Ga.Evolve.validate] says
+   whether the engine accepts them). *)
+let ga_params ?domains budget =
+  {
+    Ga.Evolve.default_params with
+    Ga.Evolve.pop_size = budget.pop;
+    generations = budget.gens;
+    seed = budget.seed;
+    domains;
+  }
+
 (* Failure isolation for fitness evaluation: retry transient VM failures,
    penalize and quarantine genomes that keep failing, stop the search (with
    the best-known answer) if a generation's failure rate explodes. *)
@@ -85,23 +96,11 @@ let best_or_default gu (ga : Ga.Evolve.result) =
 let tune ?(budget = default_budget) ?on_generation ?on_stats ?(suite = Workloads.Suites.spec)
     ?checkpoint ?resume ?(max_retries = 1) ?domains ?plan id =
   let spec = spec_of id in
-  let fitness =
-    Objective.genome_fitness ?plan ~suite ~scenario:spec.scenario ~platform:spec.platform
-      ~goal:spec.goal
-  in
-  let grid =
-    Objective.genome_grid ?plan ~suite ~scenario:spec.scenario ~platform:spec.platform
+  let grid, fitness =
+    Objective.genome_evaluator ?plan ~suite ~scenario:spec.scenario ~platform:spec.platform
       ~goal:spec.goal ()
   in
-  let params =
-    {
-      Ga.Evolve.default_params with
-      Ga.Evolve.pop_size = budget.pop;
-      generations = budget.gens;
-      seed = budget.seed;
-      domains;
-    }
-  in
+  let params = ga_params ?domains budget in
   let gu = guard ~max_retries in
   let ga =
     Ga.Evolve.run ?on_generation ?on_stats ?checkpoint ?resume ~guard:gu ~grid
@@ -140,23 +139,11 @@ let plan_best_or_default gu (ga : Ga.Evolve.result) =
 let tune_plan ?(budget = default_budget) ?on_generation ?on_stats
     ?(suite = Workloads.Suites.spec) ?checkpoint ?resume ?(max_retries = 1) ?domains id =
   let spec = spec_of id in
-  let fitness =
-    Objective.plan_genome_fitness ~suite ~scenario:spec.scenario ~platform:spec.platform
-      ~goal:spec.goal
+  let grid, fitness =
+    Objective.plan_genome_evaluator ~suite ~scenario:spec.scenario ~platform:spec.platform
+      ~goal:spec.goal ()
   in
-  let grid =
-    Objective.plan_genome_grid ~suite ~scenario:spec.scenario ~platform:spec.platform
-      ~goal:spec.goal
-  in
-  let params =
-    {
-      Ga.Evolve.default_params with
-      Ga.Evolve.pop_size = budget.pop;
-      generations = budget.gens;
-      seed = budget.seed;
-      domains;
-    }
-  in
+  let params = ga_params ?domains budget in
   let gu = guard ~max_retries in
   let ga =
     Ga.Evolve.run ?on_generation ?on_stats ?checkpoint ?resume ~guard:gu ~grid
@@ -175,23 +162,11 @@ let tune_plan ?(budget = default_budget) ?on_generation ?on_stats
 (* Per-program tuning for running time (paper Fig. 10). *)
 let tune_per_program ?(budget = default_budget) ?(max_retries = 1) ?domains ?plan bm =
   let suite = [ bm ] in
-  let fitness =
-    Objective.genome_fitness ?plan ~suite ~scenario:Machine.Opt ~platform:Platform.x86
-      ~goal:Objective.Running
-  in
-  let grid =
-    Objective.genome_grid ?plan ~suite ~scenario:Machine.Opt ~platform:Platform.x86
+  let grid, fitness =
+    Objective.genome_evaluator ?plan ~suite ~scenario:Machine.Opt ~platform:Platform.x86
       ~goal:Objective.Running ()
   in
-  let params =
-    {
-      Ga.Evolve.default_params with
-      Ga.Evolve.pop_size = budget.pop;
-      generations = budget.gens;
-      seed = budget.seed;
-      domains;
-    }
-  in
+  let params = ga_params ?domains budget in
   let gu = guard ~max_retries in
   let ga = Ga.Evolve.run ~guard:gu ~grid ~spec:Params.genome_spec ~params ~fitness () in
   (best_or_default gu ga, ga.Ga.Evolve.best_fitness)

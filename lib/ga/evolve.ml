@@ -5,7 +5,6 @@ module Trace = Inltune_obs.Trace
 module Event = Inltune_obs.Event
 module Metric = Inltune_obs.Metric
 module Sandbox = Inltune_resilience.Sandbox
-module Checkpoint = Inltune_resilience.Checkpoint
 
 (* Generational genetic algorithm, minimizing a fitness function — the role
    ECJ plays in the paper.
@@ -25,17 +24,19 @@ module Checkpoint = Inltune_resilience.Checkpoint
    The paper's searches run for days; two mechanisms keep them alive:
 
    - A [guard] makes evaluation fault-tolerant: each cache miss runs inside
-     [Sandbox.protect] (bounded retry, deterministic backoff), a genome whose
-     every attempt fails gets the penalty fitness and is quarantined so it is
-     never evaluated again, and a generation whose fresh-evaluation failure
-     rate exceeds the threshold stops the search gracefully — best-known
-     result, recorded reason — instead of crashing it.
+     [Sandbox.run] (bounded retry, deterministic backoff, non-finite results
+     rejected as corrupt), a genome whose every attempt fails gets the
+     penalty fitness and is quarantined so it is never evaluated again, and
+     a generation whose fresh-evaluation failure rate exceeds the threshold
+     stops the search gracefully — best-known result, recorded reason —
+     instead of crashing it.
 
-   - [save] appends one complete snapshot per generation (population,
-     RNG state, memo cache, quarantine, history, counters); [resume] restores
-     the snapshot and continues bit-identically to an uninterrupted run,
-     because every stochastic choice flows through the restored RNG and no
-     fitness is ever recomputed. *)
+   - [checkpoint] appends one complete snapshot per generation (population,
+     RNG state, memo cache, quarantine, history, counters) through the
+     representation's {!Checkpoint.codec}; [resume] restores the snapshot and
+     continues bit-identically to an uninterrupted run, because every
+     stochastic choice flows through the restored RNG and no fitness is ever
+     recomputed. *)
 
 type params = {
   pop_size : int;
@@ -95,7 +96,7 @@ type ('g, 'bm) grid = {
   grid_combine : 'g -> float array -> float;
 }
 
-type progress = {
+type progress = Checkpoint.progress = {
   generation : int;
   best_fitness : float;
   mean_fitness : float;
@@ -144,26 +145,7 @@ type 'g repr = {
   r_crossover : Rng.t -> 'g -> 'g -> 'g * 'g;
   r_mutate : Rng.t -> 'g -> 'g;
   r_copy : 'g -> 'g;                         (* [Fun.id] for immutable genomes *)
-}
-
-(* One self-contained snapshot of the search, the unit of checkpointing.
-   [run_repr] hands these to the [save] hook after every generation and
-   restores one from the [resume] hook; persistence formats are the
-   instantiation's business (int-array GA: {!Inltune_resilience.Checkpoint};
-   GP trees: lib/gp's own JSONL). *)
-type 'g snapshot = {
-  s_gen : int;                     (* last completed generation *)
-  s_rng : int64;                   (* raw RNG state after this generation *)
-  s_pop : 'g array;
-  s_best : 'g option;
-  s_best_fitness : float;
-  s_cache : (string * float) list; (* genome key -> fitness, sorted by key *)
-  s_quarantine : string list;      (* genome keys, sorted *)
-  s_history : progress list;       (* oldest first *)
-  s_evaluations : int;
-  s_cache_hits : int;
-  s_failures : int;
-  s_retries : int;
+  r_codec : 'g Checkpoint.codec;             (* checkpoint persistence *)
 }
 
 (* Generic search outcome; [run] narrows it back to [result]. *)
@@ -197,22 +179,6 @@ let mutate spec params rng g =
       else v)
     g
 
-let progress_entry p =
-  {
-    Checkpoint.e_gen = p.generation;
-    e_best = p.best_fitness;
-    e_mean = p.mean_fitness;
-    e_evals = p.evaluations;
-  }
-
-let entry_progress (e : Checkpoint.entry) =
-  {
-    generation = e.Checkpoint.e_gen;
-    best_fitness = e.Checkpoint.e_best;
-    mean_fitness = e.Checkpoint.e_mean;
-    evaluations = e.Checkpoint.e_evals;
-  }
-
 (* [prefilter], when given, is consulted for every fresh (uncached) genome
    before its simulations are submitted: [Some surrogate] records that value
    as the genome's fitness without evaluating it.  It receives the best
@@ -224,12 +190,28 @@ let entry_progress (e : Checkpoint.entry) =
    [best_view], when given, adds a ["best_genome"] field (the rendered best
    individual) to the per-generation trace event — the GP's best-tree trace.
 
+   [checkpoint] names the file a snapshot is appended to after every
+   generation; [resume] names the file whose last snapshot the search
+   continues from.  A snapshot that cannot be loaded, or was written under a
+   different [pop_size]/[seed], raises [Cannot_resume].
+
    [label] names the trace events ("ga" -> "ga.generation" etc.). *)
-let run_repr ?on_generation ?on_stats ?guard ?save ?resume ?grid ?prefilter ?best_view
+exception Cannot_resume of string
+
+(* Why the engine would refuse these parameters, if it would. *)
+let validate params =
+  if params.pop_size < 2 then
+    Error (Printf.sprintf "population too small: %d (need at least 2)" params.pop_size)
+  else if params.elites >= params.pop_size then
+    Error
+      (Printf.sprintf "too many elites: %d elites need a population larger than %d"
+         params.elites params.pop_size)
+  else if params.tournament < 1 then Error "tournament size must be >= 1"
+  else Ok ()
+
+let run_repr ?on_generation ?on_stats ?guard ?checkpoint ?resume ?grid ?prefilter ?best_view
     ~label ~repr ~params ~fitness () =
-  if params.pop_size < 2 then invalid_arg "Evolve.run: population too small";
-  if params.elites >= params.pop_size then invalid_arg "Evolve.run: too many elites";
-  if params.tournament < 1 then invalid_arg "Evolve.run: tournament size must be >= 1";
+  (match validate params with Ok () -> () | Error msg -> invalid_arg ("Evolve.run: " ^ msg));
   let t_start = Trace.now () in
   let c_quarantined = Metric.counter "eval.quarantined" in
   let c_quarantine_hits = Metric.counter "eval.quarantine_hits" in
@@ -318,9 +300,9 @@ let run_repr ?on_generation ?on_stats ?guard ?save ?resume ?grid ?prefilter ?bes
           incr evaluations)
         todo
     | Some gu ->
-      let protect f x =
-        Sandbox.protect ~max_retries:gu.max_retries ~classify:gu.classify ~site:"eval"
-          (fun () -> f x)
+      let sandboxed f x =
+        Sandbox.run ~max_retries:gu.max_retries ~classify:gu.classify
+          ~corrupt:Sandbox.non_finite ~site:"eval" (fun () -> f x)
       in
       (* Per-genome outcome: fitness with the extra (retry) attempts spent, a
          sandboxed failure, or a non-sandboxable exception.  In grid mode a
@@ -332,17 +314,17 @@ let run_repr ?on_generation ?on_stats ?guard ?save ?resume ?grid ?prefilter ?bes
         | None ->
           Array.map
             (function
-              | Ok (Ok ok) -> `Value (ok.Sandbox.value, ok.Sandbox.attempts - 1)
+              | Ok (Ok o) -> `Value (o.Sandbox.result, o.Sandbox.o_attempts - 1)
               | Ok (Error fl) ->
                 (* Sandboxed failure: every attempt raised or returned garbage. *)
                 `Sandboxed (fl.Sandbox.f_attempts, fl.Sandbox.f_reason, fl.Sandbox.f_attempts - 1)
               | Error e -> `Raw e)
-            (Pool.map_result ?domains:params.domains (protect fitness) todo)
+            (Pool.map_result ?domains:params.domains (sandboxed fitness) todo)
         | Some gr ->
           let nb, cells = flat gr in
           let couts =
             Pool.map_result ?domains:params.domains
-              (protect (fun (g, bm) -> gr.grid_cell g bm))
+              (sandboxed (fun (g, bm) -> gr.grid_cell g bm))
               cells
           in
           Array.mapi
@@ -352,9 +334,9 @@ let run_repr ?on_generation ?on_stats ?guard ?save ?resume ?grid ?prefilter ?bes
               let fail = ref None in
               for j = 0 to nb - 1 do
                 match couts.((i * nb) + j) with
-                | Ok (Ok ok) ->
-                  extra := !extra + (ok.Sandbox.attempts - 1);
-                  vals.(j) <- ok.Sandbox.value
+                | Ok (Ok o) ->
+                  extra := !extra + (o.Sandbox.o_attempts - 1);
+                  vals.(j) <- o.Sandbox.result
                 | Ok (Error fl) ->
                   extra := !extra + (fl.Sandbox.f_attempts - 1);
                   if !fail = None then
@@ -434,13 +416,20 @@ let run_repr ?on_generation ?on_stats ?guard ?save ?resume ?grid ?prefilter ?bes
     | _ -> None
   in
   (* Restore a snapshot, or build generation 0 from scratch. *)
+  let echo = { Checkpoint.pop_size = params.pop_size; seed = params.seed } in
   let restored =
     match resume with
     | None -> None
-    | Some load -> (
-      match load () with
-      | Error msg -> invalid_arg (Printf.sprintf "Evolve.run: cannot resume: %s" msg)
-      | Ok (s : 'g snapshot) -> Some s)
+    | Some path -> (
+      match Checkpoint.load repr.r_codec ~path with
+      | Error msg -> raise (Cannot_resume msg)
+      | Ok (_, written) when written <> echo ->
+        raise
+          (Cannot_resume
+             (Printf.sprintf
+                "%s was written with pop_size %d seed %d, this run has pop_size %d seed %d"
+                path written.pop_size written.seed echo.pop_size echo.seed))
+      | Ok ((s : 'g Checkpoint.snapshot), _) -> Some s)
   in
   let rng =
     match restored with
@@ -529,9 +518,9 @@ let run_repr ?on_generation ?on_stats ?guard ?save ?resume ?grid ?prefilter ?bes
     match on_generation with Some f -> f p | None -> ()
   in
   let write_ckpt gen =
-    match save with
+    match checkpoint with
     | None -> ()
-    | Some sv ->
+    | Some path ->
       let cache_assoc =
         Hashtbl.fold (fun k v acc -> (k, v) :: acc) cache []
         |> List.sort (fun (a, _) (b, _) -> compare a b)
@@ -539,9 +528,9 @@ let run_repr ?on_generation ?on_stats ?guard ?save ?resume ?grid ?prefilter ?bes
       let quarantine_keys =
         Hashtbl.fold (fun k () acc -> k :: acc) quarantine [] |> List.sort compare
       in
-      sv
+      Checkpoint.write repr.r_codec ~path echo
         {
-          s_gen = gen;
+          Checkpoint.s_gen = gen;
           s_rng = Rng.state rng;
           s_pop = !pop;
           s_best = !best;
@@ -641,11 +630,17 @@ let run_repr ?on_generation ?on_stats ?guard ?save ?resume ?grid ?prefilter ?bes
 
 (* --- the paper's integer-vector GA --------------------------------------- *)
 
-(* [run] is [run_repr] instantiated at int-array genomes with [Checkpoint]
-   persistence; every stochastic operator flows through the same RNG calls in
-   the same order as it always did, so seeds, checkpoints, and resumes stay
-   bit-compatible with runs recorded before the engine was generalized. *)
+(* [run] is [run_repr] instantiated at int-array genomes; every stochastic
+   operator flows through the same RNG calls in the same order as it always
+   did, so seeds, checkpoints, and resumes stay bit-compatible with runs
+   recorded before the engine was generalized.  A checkpoint whose genomes
+   fall outside [spec] does not decode, so it cannot be resumed. *)
 let run ?on_generation ?on_stats ?guard ?checkpoint ?resume ?grid ~spec ~params ~fitness () =
+  let decode j =
+    Result.bind (Checkpoint.ints.decode j) (fun g ->
+        if Genome.valid spec g then Ok g
+        else Error (Printf.sprintf "[%s] does not fit the genome spec" (Genome.key g)))
+  in
   let repr =
     {
       r_key = Genome.key;
@@ -653,64 +648,12 @@ let run ?on_generation ?on_stats ?guard ?checkpoint ?resume ?grid ~spec ~params 
       r_crossover = crossover;
       r_mutate = mutate spec params;
       r_copy = Array.copy;
+      r_codec = { Checkpoint.ints with decode };
     }
   in
-  let save =
-    Option.map
-      (fun path (s : int array snapshot) ->
-        Checkpoint.write ~path
-          {
-            Checkpoint.gen = s.s_gen;
-            rng = s.s_rng;
-            pop = s.s_pop;
-            best = Option.value ~default:[||] s.s_best;
-            best_fitness = s.s_best_fitness;
-            cache = s.s_cache;
-            quarantine = s.s_quarantine;
-            history = List.map progress_entry s.s_history;
-            evaluations = s.s_evaluations;
-            cache_hits = s.s_cache_hits;
-            failures = s.s_failures;
-            retries = s.s_retries;
-            pop_size = params.pop_size;
-            seed = params.seed;
-          })
-      checkpoint
-  in
-  let resume =
-    Option.map
-      (fun path () ->
-        match Checkpoint.load ~path with
-        | Error msg -> Error msg
-        | Ok s ->
-          if s.Checkpoint.pop_size <> params.pop_size || s.Checkpoint.seed <> params.seed then
-            invalid_arg
-              (Printf.sprintf
-                 "Evolve.run: checkpoint was written with pop_size %d seed %d, params say %d/%d"
-                 s.Checkpoint.pop_size s.Checkpoint.seed params.pop_size params.seed);
-          if not (Array.for_all (Genome.valid spec) s.Checkpoint.pop) then
-            invalid_arg "Evolve.run: checkpoint population does not fit the genome spec";
-          Ok
-            {
-              s_gen = s.Checkpoint.gen;
-              s_rng = s.Checkpoint.rng;
-              s_pop = s.Checkpoint.pop;
-              s_best =
-                (if Array.length s.Checkpoint.best = 0 then None else Some s.Checkpoint.best);
-              s_best_fitness = s.Checkpoint.best_fitness;
-              s_cache = s.Checkpoint.cache;
-              s_quarantine = s.Checkpoint.quarantine;
-              s_history = List.map entry_progress s.Checkpoint.history;
-              s_evaluations = s.Checkpoint.evaluations;
-              s_cache_hits = s.Checkpoint.cache_hits;
-              s_failures = s.Checkpoint.failures;
-              s_retries = s.Checkpoint.retries;
-            })
-      resume
-  in
   let r =
-    run_repr ?on_generation ?on_stats ?guard ?save ?resume ?grid ~label:"ga" ~repr ~params
-      ~fitness ()
+    run_repr ?on_generation ?on_stats ?guard ?checkpoint ?resume ?grid ~label:"ga" ~repr
+      ~params ~fitness ()
   in
   {
     best = Option.value ~default:[||] r.s_best_genome;

@@ -8,7 +8,7 @@
    profile-aware decode would make compile-time decisions depend on
    invocation order — breaking both reproducibility across scenarios and
    the soundness of the Opt decision-signature walk the fitness cache keys
-   on ([Fitcache.policy_signature] with [~static:true]). *)
+   on (a static [Fitcache.Policy] decider). *)
 
 module Features = Inltune_policy.Features
 module Policy = Inltune_opt.Policy

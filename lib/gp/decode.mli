@@ -5,7 +5,7 @@
     decisions are a pure function of the program and the site record.  That
     keeps runs reproducible across scenarios and lets the fitness cache key
     Opt measurements by the exact decision walk
-    ({!Inltune_core.Fitcache.policy_signature} with [~static:true]), under
+    (a static {!Inltune_core.Fitcache.decider}), under
     which structurally different trees making identical decisions share one
     simulation. *)
 

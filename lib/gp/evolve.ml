@@ -17,6 +17,7 @@ module E = Inltune_ga.Evolve
 module W = Inltune_workloads
 module Metric = Inltune_obs.Metric
 module Objective = Inltune_core.Objective
+module Features = Inltune_policy.Features
 
 type params = {
   pop_size : int;
@@ -75,6 +76,11 @@ let engine_params (p : params) =
     domains = p.domains;
   }
 
+let validate p = E.validate (engine_params p)
+
+let codec =
+  Inltune_ga.Checkpoint.trees ~to_text:Tree.to_text ~of_text:(Tree.of_text ~dim:Features.dim)
+
 let repr (p : params) =
   {
     E.r_key = Tree.digest;
@@ -82,40 +88,7 @@ let repr (p : params) =
     r_crossover = Genetic.crossover;
     r_mutate = Genetic.mutate ~prob:p.mutation_prob;
     r_copy = Fun.id;
-  }
-
-let snapshot_of_state (st : Ckpt.state) =
-  {
-    E.s_gen = st.gen;
-    s_rng = st.rng;
-    s_pop = st.pop;
-    s_best = st.best;
-    s_best_fitness = st.best_fitness;
-    s_cache = st.cache;
-    s_quarantine = st.quarantine;
-    s_history = st.history;
-    s_evaluations = st.evaluations;
-    s_cache_hits = st.cache_hits;
-    s_failures = st.failures;
-    s_retries = st.retries;
-  }
-
-let state_of_snapshot (p : params) (s : Tree.t E.snapshot) =
-  {
-    Ckpt.gen = s.E.s_gen;
-    rng = s.s_rng;
-    pop = s.s_pop;
-    best = s.s_best;
-    best_fitness = s.s_best_fitness;
-    cache = s.s_cache;
-    quarantine = s.s_quarantine;
-    history = s.s_history;
-    evaluations = s.s_evaluations;
-    cache_hits = s.s_cache_hits;
-    failures = s.s_failures;
-    retries = s.s_retries;
-    pop_size = p.pop_size;
-    seed = p.seed;
+    r_codec = codec;
   }
 
 let run ?on_generation ?on_stats ?(guard = default_guard) ?checkpoint ?resume ?dataset
@@ -150,35 +123,12 @@ let run ?on_generation ?on_stats ?(guard = default_guard) ?checkpoint ?resume ?d
               None
             end)
   in
-  let save =
-    Option.map
-      (fun path s -> Ckpt.write ~path (state_of_snapshot params s))
-      checkpoint
-  in
-  let resume =
-    Option.map
-      (fun path () ->
-        match Ckpt.load ~path with
-        | Error m -> Error m
-        | Ok st ->
-          if st.Ckpt.pop_size <> params.pop_size || st.Ckpt.seed <> params.seed then
-            Error
-              (Printf.sprintf
-                 "checkpoint was written with pop_size %d seed %d, params say pop_size %d seed %d"
-                 st.Ckpt.pop_size st.Ckpt.seed params.pop_size params.seed)
-          else Ok (snapshot_of_state st))
-      resume
-  in
-  let grid =
-    Fitness.grid ~iterations:params.iterations ~suite ~scenario ~platform ~goal
-      ~parsimony:params.parsimony ()
-  in
-  let fitness =
-    Fitness.fitness ~iterations:params.iterations ~suite ~scenario ~platform ~goal
+  let grid, fitness =
+    Fitness.evaluator ~iterations:params.iterations ~suite ~scenario ~platform ~goal
       ~parsimony:params.parsimony ()
   in
   let r =
-    E.run_repr ?on_generation ?on_stats ~guard ?save ?resume ~grid ?prefilter
+    E.run_repr ?on_generation ?on_stats ~guard ?checkpoint ?resume ~grid ?prefilter
       ~best_view:Tree.to_text ~label:"gp" ~repr:(repr params) ~params:(engine_params params)
       ~fitness ()
   in

@@ -2,7 +2,7 @@
 
     The tree instantiation of {!Inltune_ga.Evolve.run_repr}: same sandboxed
     fitness with quarantine, per-generation checkpoints with bit-identical
-    resume ({!Ckpt}), flat genome × benchmark pool grid, and
+    resume ({!Inltune_ga.Checkpoint}), flat genome × benchmark pool grid, and
     decision-signature fitness cache as the parameter GA — only the
     representation differs.  Trace events are ["gp.generation"] (with a
     ["best_genome"] field carrying the best tree's canonical text),
@@ -48,9 +48,18 @@ type result = {
     classification. *)
 val default_guard : E.guard
 
+(** Trees as checkpoint genomes: their canonical {!Tree.to_text} (kind
+    ["gp"]). *)
+val codec : Tree.t Inltune_ga.Checkpoint.codec
+
+(** Why the engine would refuse these parameters (population too small,
+    too many elites, ...), if it would. *)
+val validate : params -> (unit, string) Stdlib.result
+
 (** Run the evolution.  [checkpoint]/[resume] name the JSONL snapshot file
-    ({!Ckpt}); resume validates the stored [pop_size]/[seed] echo and then
-    continues bit-identically.  [dataset] (flip-oracle training pairs,
+    ({!Inltune_ga.Checkpoint} with {!codec}); resume raises
+    {!Inltune_ga.Evolve.Cannot_resume} unless the stored [pop_size]/[seed]
+    echo matches, and then continues bit-identically.  [dataset] (flip-oracle training pairs,
     {!Inltune_policy.Dataset.to_training}) enables the agreement pre-filter:
     fresh trees whose label agreement trails the current elite's by more
     than [prefilter_margin] receive a pessimistic surrogate fitness and skip

@@ -1,10 +1,10 @@
 (** Fitness of tree genomes: decode → unchanged VM → geomean-vs-default
     score with parsimony pressure.
 
-    Measurements route through the decision-signature fitness cache
-    ({!Inltune_core.Fitcache.lookup_or_measure_policy}, [~static:true]):
-    under Opt, structurally different trees making identical decisions share
-    one simulation — including with plain heuristics. *)
+    Measurements go through {!Inltune_core.Measure.measure} with a static
+    {!Inltune_core.Fitcache.Policy} decider: under Opt, structurally
+    different trees making identical decisions share one simulation —
+    including with plain heuristics. *)
 
 open Inltune_vm
 module W = Inltune_workloads
@@ -23,10 +23,11 @@ val measure :
 (** Geomean of per-benchmark cells plus [parsimony · size]. *)
 val score : parsimony:float -> Tree.t -> float array -> float
 
-(** Per-benchmark grid for the evolution engine's work pool; baselines are
-    forced eagerly on the calling domain.  Cells are NaN under an injected
-    evaluation fault (resilience tests). *)
-val grid :
+(** {!Inltune_core.Objective.evaluator} over tree genomes: the grid for the
+    evolution engine's work pool and the scalar fitness, both {!score} of
+    the per-benchmark ratios.  Cells are NaN under an injected evaluation
+    fault (resilience tests). *)
+val evaluator :
   ?iterations:int ->
   suite:W.Suites.benchmark list ->
   scenario:Machine.scenario ->
@@ -34,17 +35,4 @@ val grid :
   goal:Objective.goal ->
   parsimony:float ->
   unit ->
-  (Tree.t, W.Suites.benchmark * Measure.times) Inltune_ga.Evolve.grid
-
-(** Scalar fitness computing the same float operations as {!grid} (used
-    when no work pool is wanted). *)
-val fitness :
-  ?iterations:int ->
-  suite:W.Suites.benchmark list ->
-  scenario:Machine.scenario ->
-  platform:Platform.t ->
-  goal:Objective.goal ->
-  parsimony:float ->
-  unit ->
-  Tree.t ->
-  float
+  (Tree.t, W.Suites.benchmark * Measure.times) Inltune_ga.Evolve.grid * (Tree.t -> float)

@@ -1,11 +1,9 @@
-open Inltune_opt
 open Inltune_vm
 module W = Inltune_workloads
 module Measure = Inltune_core.Measure
 module Fitcache = Inltune_core.Fitcache
 module Stats = Inltune_support.Stats
 module Table = Inltune_support.Table
-module Metric = Inltune_obs.Metric
 module Trace = Inltune_obs.Trace
 module Event = Inltune_obs.Event
 
@@ -13,30 +11,25 @@ module Event = Inltune_obs.Event
    GA-tuned heuristics, mirroring the paper's test-suite protocol: train on
    SPECjvm98, report normalized times on unseen DaCapo+JBB. *)
 
-let measure ?(iterations = 3) ~scenario ~platform store bm =
-  match store with
-  (* A threshold store is just a heuristic: route through Measure.run so the
-     measurement shares the heuristic walk's fitness-cache entries. *)
-  | Store.Threshold h -> Measure.run ~iterations ~scenario ~platform ~heuristic:h bm
-  | Store.Tree _ ->
-    let prog = W.Suites.program bm in
-    let fctx = Features.make_ctx prog in
-    (* Stored decision trees consult the live profile under Adapt
-       (Apply.factory re-derives features per compile), so they are not
-       static policies: the cache key falls back to the store's content
-       digest — sound, just no cross-policy merging. *)
-    let policy = Apply.policy ~ctx:fctx store in
-    Measure.of_measurement
-      (Fitcache.lookup_or_measure_policy ~scenario ~platform ~policy
-         ~digest:(Digest.to_hex (Digest.string (Store.to_string store)))
-         ~static:false ~inline_enabled:true ~plan:Plan.default ~iterations ~program:prog
-         (fun walk ->
-           Metric.incr (Metric.counter "measure.simulations");
-           let cfg =
-             Machine.config ~policy_factory:(Apply.factory ~ctx:fctx store) ?walk scenario
-               Heuristic.default
-           in
-           Runner.measure ~iterations cfg platform prog))
+let measure ?iterations ~scenario ~platform store bm =
+  let decider =
+    match store with
+    (* A threshold store is just a heuristic: it shares the heuristic walk's
+       fitness-cache entries. *)
+    | Store.Threshold h -> Fitcache.Heuristic h
+    | Store.Tree _ ->
+      (* Stored decision trees consult the live profile under Adapt
+         (Apply.factory re-derives features per compile), so they are not
+         static policies: the cache key falls back to the store's content
+         digest — sound, just no cross-policy merging. *)
+      Fitcache.Policy
+        {
+          policy = Apply.factory ~ctx:(Features.make_ctx (W.Suites.program bm)) store;
+          digest = Digest.to_hex (Digest.string (Store.to_string store));
+          static = false;
+        }
+  in
+  Measure.measure ?iterations ~scenario ~platform ~decider bm
 
 type row = {
   r_bench : string;

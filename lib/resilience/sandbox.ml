@@ -2,7 +2,7 @@
 
    One fitness evaluation of a pathological genome can exhaust its fuel
    budget, trap, or blow the stack; a days-long GA run must treat that as
-   data about the genome, not as a reason to die.  [protect] runs one
+   data about the genome, not as a reason to die.  [run] makes one
    evaluation attempt, classifies any exception as sandboxable or not,
    retries transient failures a bounded number of times with a deterministic
    backoff, and reports the final outcome as a value instead of a raise.
@@ -14,16 +14,12 @@
 
    Corrupt output is a failure too: a fitness must be a finite float, and a
    NaN/infinity (from injected faults or a broken objective) would otherwise
-   poison every comparison downstream of the memo cache. *)
+   poison every comparison downstream of the memo cache; fitness callers pass
+   [non_finite] as [run]'s [corrupt] check. *)
 
 module Metric = Inltune_obs.Metric
 module Trace = Inltune_obs.Trace
 module Event = Inltune_obs.Event
-
-type ok = {
-  value : float;
-  attempts : int;  (* 1 = first try succeeded *)
-}
 
 type failure = {
   f_site : string;
@@ -83,12 +79,6 @@ let run ?(max_retries = 1) ?(classify = default_classify) ?(corrupt = no_corrupt
   in
   attempt 1 0
 
-(* Float-valued fitness evaluation: exactly the historical behavior —
-   non-finite results are corrupt output. *)
-let protect ?max_retries ?classify ~site f =
-  let corrupt v =
-    if Float.is_finite v then None else Some (Printf.sprintf "corrupt output %h" v)
-  in
-  match run ?max_retries ?classify ~corrupt ~site f with
-  | Ok o -> Ok { value = o.result; attempts = o.o_attempts }
-  | Error f -> Error f
+(* A fitness must be a finite float: NaN or infinity is corrupt output. *)
+let non_finite v =
+  if Float.is_finite v then None else Some (Printf.sprintf "corrupt output %h" v)

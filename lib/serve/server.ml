@@ -255,13 +255,13 @@ let validate = function
       let suite =
         match u.t_suite with [] -> Suites.spec | names -> List.map find_bench names
       in
-      Jtune
-        {
-          jt_id = id;
-          jt_budget =
-            { Tuner.pop = max 2 u.t_pop; gens = max 1 u.t_gens; seed = u.t_seed };
-          jt_suite = suite;
-        }
+      let budget = { Tuner.pop = u.t_pop; gens = max 1 u.t_gens; seed = u.t_seed } in
+      (* A population the engine would refuse is a bad request, not a
+         failed (retried, quarantined) tune. *)
+      (match Inltune_ga.Evolve.validate (Tuner.ga_params budget) with
+      | Ok () -> ()
+      | Error msg -> invalid_arg ("pop: " ^ msg));
+      Jtune { jt_id = id; jt_budget = budget; jt_suite = suite }
     with
     | job -> Ok job
     | exception Invalid_argument msg -> Error msg)
@@ -371,7 +371,7 @@ let execute_degraded ~tenant job =
       | Jmeasure m ->
         if
           Fitcache.mem ~scenario:m.jm_scenario ~platform:m.jm_platform
-            ~heuristic:m.jm_heuristic ~inline_enabled:true ~plan:Plan.default
+            ~decider:(Fitcache.Heuristic m.jm_heuristic) ~inline_enabled:true ~plan:Plan.default
             ~iterations:m.jm_iterations
             (Suites.program m.jm_bench)
         then

@@ -114,6 +114,38 @@ rc=0
 dune exec --no-build bin/main.exe -- gp print "$gptree" > /dev/null 2>&1 || rc=$?
 [ "$rc" -eq 2 ] || { echo "corrupt gp tree exited $rc, want 2"; exit 1; }
 
+echo "== resume/population error smoke =="
+# A checkpoint that cannot be resumed (missing, written under another
+# pop/seed, or holding the other genome kind) and a population the engine
+# would refuse must each die with one stderr line and exit code 2.
+one_line_exit2() {
+  what=$1
+  shift
+  rc=0
+  err=$(./_build/default/bin/main.exe "$@" 2>&1 > /dev/null) || rc=$?
+  [ "$rc" -eq 2 ] || { echo "$what exited $rc, want 2: $err"; exit 1; }
+  [ "$(printf '%s\n' "$err" | wc -l)" -eq 1 ] \
+    || { echo "$what: want one stderr line, got: $err"; exit 1; }
+}
+one_line_exit2 "tune --resume of a missing file" tune --resume "$ckpt.missing"
+one_line_exit2 "experiment --resume of a missing file" \
+  experiment table4 -q --pop 4 -g 1 --resume "$ckpt.missing"
+one_line_exit2 "GA resume under another seed" tune -s adapt --pop 6 -g 2 --seed 43 --resume "$ckpt"
+one_line_exit2 "GA resume under another pop" tune -s adapt --pop 8 -g 2 --resume "$ckpt"
+one_line_exit2 "GP resume under another seed" \
+  tune --evolve-policy -s opt:tot --pop 6 -g 2 --seed 8 --resume "$gpck"
+one_line_exit2 "GA resume of a GP checkpoint" tune -s adapt --pop 6 -g 2 --seed 7 --resume "$gpck"
+echo "$err" | grep -q "holds gp genomes, this run is ga" \
+  || { echo "wrong-kind GA resume does not name both kinds: $err"; exit 1; }
+one_line_exit2 "GP resume of a GA checkpoint" \
+  tune --evolve-policy -s opt:tot --pop 6 -g 2 --resume "$ckpt"
+echo "$err" | grep -q "holds ga genomes, this run is gp" \
+  || { echo "wrong-kind GP resume does not name both kinds: $err"; exit 1; }
+for pop in 1 2; do
+  one_line_exit2 "tune --pop $pop" tune --pop "$pop"
+  one_line_exit2 "tune --evolve-policy --pop $pop" tune --evolve-policy -s opt:tot --pop "$pop"
+done
+
 echo "== gp-bench smoke =="
 # The GP comparison bench must leave a parseable BENCH_gp.json carrying the
 # 4-column protocol geomeans and the pre-filter avoidance counters.

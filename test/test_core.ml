@@ -71,7 +71,8 @@ let test_fitcache_distinct_programs_distinct_keys () =
      collide across programs — even for the same heuristic and scenario. *)
   let p1 = W.Suites.program bm_compress and p2 = W.Suites.program bm_db in
   let key p =
-    Fitcache.key ~scenario:Machine.Opt ~platform:Platform.x86 ~heuristic:Heuristic.default
+    Fitcache.key ~scenario:Machine.Opt ~platform:Platform.x86
+      ~decider:(Fitcache.Heuristic Heuristic.default)
       ~inline_enabled:true ~plan:Plan.default ~iterations:3 p
   in
   Alcotest.(check bool) "digests differ" true
@@ -82,12 +83,13 @@ let test_fitcache_signature_separates_decisions () =
   (* Heuristics with different decision vectors must not share a signature. *)
   let p = W.Suites.program bm_compress in
   let s h =
-    Fitcache.signature ~scenario:Machine.Opt ~heuristic:h ~inline_enabled:true
+    Fitcache.signature ~scenario:Machine.Opt ~decider:(Fitcache.Heuristic h) ~inline_enabled:true
       ~plan:Plan.default p
   in
   Alcotest.(check bool) "never <> default" true (s Heuristic.never <> s Heuristic.default);
   Alcotest.(check string) "inlining off merges everything" "off"
-    (Fitcache.signature ~scenario:Machine.Opt ~heuristic:Heuristic.never ~inline_enabled:false
+    (Fitcache.signature ~scenario:Machine.Opt
+       ~decider:(Fitcache.Heuristic Heuristic.never) ~inline_enabled:false
        ~plan:Plan.default p)
 
 let test_fitcache_inert_param_merges_soundly () =
@@ -98,7 +100,7 @@ let test_fitcache_inert_param_merges_soundly () =
   let p = W.Suites.program bm_compress in
   let h2 = { Heuristic.default with Heuristic.hot_callee_max_size = 17 } in
   let s h =
-    Fitcache.signature ~scenario:Machine.Opt ~heuristic:h ~inline_enabled:true
+    Fitcache.signature ~scenario:Machine.Opt ~decider:(Fitcache.Heuristic h) ~inline_enabled:true
       ~plan:Plan.default p
   in
   Alcotest.(check string) "signatures merge" (s Heuristic.default) (s h2);
@@ -144,7 +146,8 @@ let test_fitcache_file_round_trip () =
           let p = W.Suites.program bm_db in
           Alcotest.(check bool) "entry reloaded from disk" true
             (Fitcache.mem ~scenario:Machine.Adapt ~platform:Platform.x86
-               ~heuristic:Heuristic.default ~inline_enabled:true ~plan:Plan.default
+               ~decider:(Fitcache.Heuristic Heuristic.default)
+               ~inline_enabled:true ~plan:Plan.default
                ~iterations:3 p);
           let s0 = metric "measure.simulations" in
           let m2 =
@@ -178,7 +181,8 @@ let test_fitcache_corrupt_file_skipped () =
           let p = W.Suites.program bm_db in
           Alcotest.(check bool) "good entry survives corrupt neighbours" true
             (Fitcache.mem ~scenario:Machine.Opt ~platform:Platform.x86
-               ~heuristic:Heuristic.default ~inline_enabled:true ~plan:Plan.default
+               ~decider:(Fitcache.Heuristic Heuristic.default)
+               ~inline_enabled:true ~plan:Plan.default
                ~iterations:3 p)))
 
 let test_fitcache_corrupt_lines_counted () =
@@ -267,7 +271,8 @@ let test_fitcache_failed_append_releases_lock () =
           let p = W.Suites.program bm_db in
           let lookup () =
             Fitcache.lookup_or_measure ~scenario:Machine.Opt ~platform:Platform.x86
-              ~heuristic:Heuristic.default ~inline_enabled:true ~plan:Plan.default
+              ~decider:(Fitcache.Heuristic Heuristic.default)
+              ~inline_enabled:true ~plan:Plan.default
               ~iterations:3 ~program:p (fun _ -> zero_measurement)
           in
           Alcotest.(check bool) "append fails" true
@@ -301,7 +306,8 @@ let test_compile_cache_transparent () =
       let prog = W.Suites.program bm in
       let walk =
         walk_of_lookup
-          (Fitcache.lookup_or_measure ~scenario:Machine.Opt ~platform:Platform.x86 ~heuristic:h
+          (Fitcache.lookup_or_measure ~scenario:Machine.Opt ~platform:Platform.x86
+             ~decider:(Fitcache.Heuristic h)
              ~inline_enabled:true ~plan:Plan.default ~iterations:2 ~program:prog)
       in
       Alcotest.(check bool) (bm.W.Suites.bname ^ ": exact walk") true (walk <> None);
@@ -320,7 +326,8 @@ let test_compile_cache_transparent () =
   let prog = W.Suites.program bm_compress in
   let walk =
     walk_of_lookup
-      (Fitcache.lookup_or_measure ~scenario:Machine.Opt ~platform:Platform.x86 ~heuristic:h
+      (Fitcache.lookup_or_measure ~scenario:Machine.Opt ~platform:Platform.x86
+         ~decider:(Fitcache.Heuristic h)
          ~inline_enabled:true ~plan:Plan.default ~iterations:2 ~program:prog)
   in
   let path = Filename.temp_file "inltune_cc" ".jsonl" in
@@ -343,7 +350,8 @@ let test_compile_cache_bypassed_off_walk () =
   let prog = W.Suites.program bm_db in
   let walk scenario =
     walk_of_lookup
-      (Fitcache.lookup_or_measure ~scenario ~platform:Platform.x86 ~heuristic:Heuristic.default
+      (Fitcache.lookup_or_measure ~scenario ~platform:Platform.x86
+         ~decider:(Fitcache.Heuristic Heuristic.default)
          ~inline_enabled:true ~plan:Plan.default ~iterations:2 ~program:prog)
   in
   Alcotest.(check bool) "adapt: no walk" true (walk Machine.Adapt = None);
@@ -353,7 +361,8 @@ let test_compile_cache_bypassed_off_walk () =
       Fitcache.set_enabled false;
       ignore
         (Fitcache.lookup_or_measure ~scenario:Machine.Opt ~platform:Platform.x86
-           ~heuristic:Heuristic.default ~inline_enabled:true ~plan:Plan.default ~iterations:2
+           ~decider:(Fitcache.Heuristic Heuristic.default)
+           ~inline_enabled:true ~plan:Plan.default ~iterations:2
            ~program:prog (fun walk ->
              w := walk;
              zero_measurement)));

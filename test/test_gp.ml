@@ -223,8 +223,11 @@ let test_policy_signature_shared_across_identical_trees () =
   let t2 = Tree.(Not (Cmp (Gt, Feat 0, Const 10.0))) in
   Alcotest.(check bool) "distinct digests" true (Tree.digest t1 <> Tree.digest t2);
   let sig_of t =
-    Fitcache.policy_signature ~scenario:Machine.Opt ~policy:(Gp.Decode.policy ~ctx t)
-      ~digest:(Tree.digest t) ~static:true ~inline_enabled:true ~plan:Plan.default prog
+    let policy = Gp.Decode.policy ~ctx t in
+    let decider =
+      Fitcache.Policy { policy = (fun _ -> policy); digest = Tree.digest t; static = true }
+    in
+    Fitcache.signature ~scenario:Machine.Opt ~decider ~inline_enabled:true ~plan:Plan.default prog
   in
   let s1 = sig_of t1 and s2 = sig_of t2 in
   Alcotest.(check string) "identical decisions, one signature" s1 s2;
@@ -247,9 +250,10 @@ let test_static_rule_compile_cache_transparent () =
       let walk = ref None in
       Fitcache.clear ();
       let cold =
-        Fitcache.lookup_or_measure_policy ~scenario:Machine.Opt ~platform:Platform.x86 ~policy
-          ~digest:(Tree.digest t) ~static:true ~inline_enabled:true ~plan:Plan.default
-          ~iterations:2 ~program:prog (fun w ->
+        Fitcache.lookup_or_measure ~scenario:Machine.Opt ~platform:Platform.x86
+          ~decider:
+            (Fitcache.Policy { policy = (fun _ -> policy); digest = Tree.digest t; static = true })
+          ~inline_enabled:true ~plan:Plan.default ~iterations:2 ~program:prog (fun w ->
             walk := w;
             measure ?walk:w ())
       in
@@ -264,6 +268,40 @@ let test_static_rule_compile_cache_transparent () =
       Alcotest.(check bool) "cold = uncached" true (cold = off);
       Alcotest.(check bool) "warm = uncached" true (warm = off))
     [ compress; W.Suites.find "jess" ]
+
+(* Policy measurements go through the same entry as heuristic ones, so with
+   the profiler on they are a "fitness.eval" span with a "fitness.breakdown"
+   event — and profiling them changes nothing. *)
+let test_policy_measure_profiled () =
+  let module Prof = Inltune_obs.Prof in
+  let module Trace = Inltune_obs.Trace in
+  let t = Tree.(Cmp (Le, Feat 0, Const 12.0)) in
+  let measure () =
+    Fitcache.clear ();
+    (Gp.Fitness.measure ~iterations:2 ~scenario:Machine.Opt ~platform:Platform.x86 t compress)
+      .Measure.raw
+  in
+  let plain = measure () in
+  let sink, events = Inltune_obs.Sink.memory () in
+  Trace.install sink;
+  Prof.reset ();
+  Prof.enable ();
+  let profiled =
+    Fun.protect
+      ~finally:(fun () ->
+        Prof.disable ();
+        Trace.disable ())
+      measure
+  in
+  let spans = List.filter (fun n -> n.Prof.n_label = "fitness.eval") (Prof.snapshot ()) in
+  Prof.reset ();
+  Alcotest.(check bool) "fitness.eval span" true (spans <> []);
+  let breakdowns = ref 0 in
+  Inltune_support.Vec.iter
+    (fun e -> if e.Inltune_obs.Event.name = "fitness.breakdown" then incr breakdowns)
+    events;
+  Alcotest.(check int) "one fitness.breakdown event" 1 !breakdowns;
+  Alcotest.(check bool) "profiling changes nothing" true (plain = profiled)
 
 let test_agreement () =
   let training =
@@ -280,63 +318,58 @@ let test_agreement () =
     (Gp.Decode.agreement training Tree.True);
   Alcotest.(check (float 1e-9)) "empty data is vacuous" 1.0 (Gp.Decode.agreement [||] Tree.True)
 
-(* --- Checkpoints ---------------------------------------------------------- *)
+(* --- Checkpoints: tree genomes through the shared checkpoint format ------- *)
+
+module Ckpt = Inltune_ga.Checkpoint
+
+let sample_echo = { Ckpt.pop_size = 3; seed = 7 }
 
 let sample_state =
   let t1 = Tree.(Cmp (Le, Feat 0, Const 10.0)) in
   let t2 = Tree.(And (True, Not (Cmp (Gt, Feat 2, Const 3.0)))) in
   {
-    Gp.Ckpt.gen = 2;
-    rng = 987654321098765L;
-    pop = [| t1; t2; Tree.True |];
-    best = Some t1;
-    best_fitness = 1.0625;
-    cache = [ (Tree.digest t1, 1.0625); (Tree.digest t2, 1.25) ];
-    quarantine = [ "deadbeef" ];
-    history =
+    Ckpt.s_gen = 2;
+    s_rng = 987654321098765L;
+    s_pop = [| t1; t2; Tree.True |];
+    s_best = Some t1;
+    s_best_fitness = 1.0625;
+    s_cache = [ (Tree.digest t1, 1.0625); (Tree.digest t2, 1.25) ];
+    s_quarantine = [ "deadbeef" ];
+    s_history =
       [
-        { E.generation = 0; best_fitness = 1.5; mean_fitness = 2.25; evaluations = 3 };
-        { E.generation = 1; best_fitness = 1.0625; mean_fitness = 1.75; evaluations = 6 };
+        { Ckpt.generation = 0; best_fitness = 1.5; mean_fitness = 2.25; evaluations = 3 };
+        { Ckpt.generation = 1; best_fitness = 1.0625; mean_fitness = 1.75; evaluations = 6 };
       ];
-    evaluations = 6;
-    cache_hits = 2;
-    failures = 1;
-    retries = 1;
-    pop_size = 3;
-    seed = 7;
+    s_evaluations = 6;
+    s_cache_hits = 2;
+    s_failures = 1;
+    s_retries = 1;
   }
 
 let test_ckpt_round_trip () =
   let path = Filename.temp_file "inltune_gp_ckpt" ".jsonl" in
-  Gp.Ckpt.write ~path sample_state;
-  (match Gp.Ckpt.load ~path with
+  Ckpt.write Gp.Evolve.codec ~path sample_echo sample_state;
+  (match Ckpt.load Gp.Evolve.codec ~path with
   | Error e -> Alcotest.fail e
-  | Ok st -> Alcotest.(check bool) "round trip" true (st = sample_state));
+  | Ok (st, echo) ->
+    Alcotest.(check bool) "round trip" true (st = sample_state);
+    Alcotest.(check bool) "echo round trip" true (echo = sample_echo));
   Sys.remove path
 
 let test_ckpt_last_valid_line () =
   let path = Filename.temp_file "inltune_gp_ckpt2" ".jsonl" in
-  Gp.Ckpt.write ~path sample_state;
-  Gp.Ckpt.write ~path { sample_state with gen = 3; best_fitness = 1.03125 };
+  Ckpt.write Gp.Evolve.codec ~path sample_echo sample_state;
+  Ckpt.write Gp.Evolve.codec ~path sample_echo
+    { sample_state with s_gen = 3; s_best_fitness = 1.03125 };
   (* simulate a mid-write kill: a truncated trailing line *)
   let oc = open_out_gen [ Open_append ] 0o644 path in
   output_string oc "{\"v\":1,\"gen\":4,\"rng\":\"12";
   close_out oc;
-  (match Gp.Ckpt.load ~path with
+  (match Ckpt.load Gp.Evolve.codec ~path with
   | Error e -> Alcotest.fail e
-  | Ok st ->
-    Alcotest.(check int) "last complete snapshot wins" 3 st.Gp.Ckpt.gen;
-    Alcotest.(check (float 1e-12)) "fitness from that snapshot" 1.03125 st.Gp.Ckpt.best_fitness);
-  Sys.remove path
-
-let test_ckpt_rejects_garbage () =
-  let path = Filename.temp_file "inltune_gp_ckpt3" ".jsonl" in
-  let oc = open_out path in
-  output_string oc "not a checkpoint\n";
-  close_out oc;
-  (match Gp.Ckpt.load ~path with
-  | Ok _ -> Alcotest.fail "expected an error"
-  | Error _ -> ());
+  | Ok (st, _) ->
+    Alcotest.(check int) "last complete snapshot wins" 3 st.Ckpt.s_gen;
+    Alcotest.(check (float 1e-12)) "fitness from that snapshot" 1.03125 st.Ckpt.s_best_fitness);
   Sys.remove path
 
 (* --- Evolution: determinism, resume, pre-filter --------------------------- *)
@@ -383,13 +416,14 @@ let test_evolve_resume_bit_identical () =
   Alcotest.(check bool) "and the history" true
     (full.Gp.Evolve.history = resumed.Gp.Evolve.history);
   (* the final snapshots agree on generation, RNG stream, and population *)
-  (match (Gp.Ckpt.load ~path:full_ck, Gp.Ckpt.load ~path:part_ck) with
-  | Ok a, Ok b ->
-    Alcotest.(check int) "same generation" a.Gp.Ckpt.gen b.Gp.Ckpt.gen;
-    Alcotest.(check bool) "same rng state" true (a.Gp.Ckpt.rng = b.Gp.Ckpt.rng);
+  let load path = Inltune_ga.Checkpoint.load Gp.Evolve.codec ~path in
+  (match (load full_ck, load part_ck) with
+  | Ok (a, _), Ok (b, _) ->
+    Alcotest.(check int) "same generation" a.s_gen b.s_gen;
+    Alcotest.(check bool) "same rng state" true (a.s_rng = b.s_rng);
     Alcotest.(check (array string)) "same population"
-      (Array.map Tree.to_text a.Gp.Ckpt.pop)
-      (Array.map Tree.to_text b.Gp.Ckpt.pop)
+      (Array.map Tree.to_text a.s_pop)
+      (Array.map Tree.to_text b.s_pop)
   | Error e, _ | _, Error e -> Alcotest.fail e);
   List.iter Sys.remove [ full_ck; part_ck ]
 
@@ -410,8 +444,8 @@ let test_evolve_resume_rejects_mismatched_params () =
      Gp.Evolve.run ~resume:ck ~suite:[ compress ] ~scenario:Machine.Opt
        ~platform:Platform.x86 ~goal:Objective.Total ~params:(tiny_params 14) ()
    with
-  | _ -> Alcotest.fail "expected Invalid_argument on seed mismatch"
-  | exception Invalid_argument msg ->
+  | _ -> Alcotest.fail "expected Cannot_resume on seed mismatch"
+  | exception E.Cannot_resume msg ->
     Alcotest.(check bool) "names both sides" true (contains msg "seed"));
   Sys.remove ck
 
@@ -475,7 +509,8 @@ let suite =
     Alcotest.test_case "decode: agreement score" `Quick test_agreement;
     Alcotest.test_case "ckpt: round trip" `Quick test_ckpt_round_trip;
     Alcotest.test_case "ckpt: last valid line wins" `Quick test_ckpt_last_valid_line;
-    Alcotest.test_case "ckpt: rejects garbage" `Quick test_ckpt_rejects_garbage;
+    Alcotest.test_case "fitness: policy measurements are profiled" `Quick
+      test_policy_measure_profiled;
     Alcotest.test_case "evolve: deterministic under fixed seed" `Quick test_evolve_deterministic;
     Alcotest.test_case "evolve: resume is bit-identical" `Quick test_evolve_resume_bit_identical;
     Alcotest.test_case "evolve: resume rejects mismatched params" `Quick

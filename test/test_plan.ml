@@ -316,7 +316,8 @@ let test_plan_genome_spec_is_composite () =
 let test_cache_key_isolates_plans () =
   let p = W.Suites.program bm_compress in
   let key plan =
-    Fitcache.key ~scenario:Machine.Opt ~platform:Platform.x86 ~heuristic:Heuristic.default
+    Fitcache.key ~scenario:Machine.Opt ~platform:Platform.x86
+      ~decider:(Fitcache.Heuristic Heuristic.default)
       ~inline_enabled:true ~plan ~iterations:3 p
   in
   let parsed = parse_ok (Plan.to_string Plan.default) in
@@ -329,7 +330,8 @@ let test_cache_key_isolates_plans () =
 let test_signature_respects_plan () =
   let p = W.Suites.program bm_compress in
   let s plan =
-    Fitcache.signature ~scenario:Machine.Opt ~heuristic:Heuristic.default ~inline_enabled:true
+    Fitcache.signature ~scenario:Machine.Opt
+      ~decider:(Fitcache.Heuristic Heuristic.default) ~inline_enabled:true
       ~plan p
   in
   Alcotest.(check string) "inline disabled in the plan merges everything" "off"
@@ -350,7 +352,8 @@ let test_signature_respects_plan () =
 let test_signature_separates_strategies () =
   let p = W.Suites.program bm_compress in
   let s ?(heuristic = Heuristic.default) plan =
-    Fitcache.signature ~scenario:Machine.Opt ~heuristic ~inline_enabled:true ~plan p
+    Fitcache.signature ~scenario:Machine.Opt
+      ~decider:(Fitcache.Heuristic heuristic) ~inline_enabled:true ~plan p
   in
   let leaves = strategy_plan "inline_leaves" in
   let region = strategy_plan "inline_region" in

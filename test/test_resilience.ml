@@ -1,7 +1,7 @@
 module R = Inltune_resilience
 module Faultinject = R.Faultinject
 module Sandbox = R.Sandbox
-module Checkpoint = R.Checkpoint
+module Checkpoint = Inltune_ga.Checkpoint
 module Evolve = Inltune_ga.Evolve
 module Genome = Inltune_ga.Genome
 
@@ -54,11 +54,16 @@ let test_clear_disarms () =
 
 (* --- Sandbox --- *)
 
+(* Fitness evaluation's sandbox: [run] with non-finite results rejected as
+   corrupt, exactly as Evolve and Dataset call it. *)
+let run_fitness ?max_retries ?classify ~site f =
+  Sandbox.run ?max_retries ?classify ~corrupt:Sandbox.non_finite ~site f
+
 let test_sandbox_first_try () =
-  match Sandbox.protect ~site:"t" (fun () -> 0.25) with
+  match run_fitness ~site:"t" (fun () -> 0.25) with
   | Ok ok ->
-    Alcotest.(check (float 0.0)) "value" 0.25 ok.Sandbox.value;
-    Alcotest.(check int) "one attempt" 1 ok.Sandbox.attempts
+    Alcotest.(check (float 0.0)) "value" 0.25 ok.Sandbox.result;
+    Alcotest.(check int) "one attempt" 1 ok.Sandbox.o_attempts
   | Error f -> Alcotest.failf "unexpected failure: %s" (Sandbox.failure_to_string f)
 
 let test_sandbox_retry_then_success () =
@@ -67,17 +72,17 @@ let test_sandbox_retry_then_success () =
     incr calls;
     if !calls < 3 then failwith "flaky" else 0.5
   in
-  match Sandbox.protect ~max_retries:2 ~site:"t" f with
+  match run_fitness ~max_retries:2 ~site:"t" f with
   | Ok ok ->
-    Alcotest.(check (float 0.0)) "value" 0.5 ok.Sandbox.value;
-    Alcotest.(check int) "attempts" 3 ok.Sandbox.attempts;
+    Alcotest.(check (float 0.0)) "value" 0.5 ok.Sandbox.result;
+    Alcotest.(check int) "attempts" 3 ok.Sandbox.o_attempts;
     Alcotest.(check int) "calls" 3 !calls
   | Error f -> Alcotest.failf "unexpected failure: %s" (Sandbox.failure_to_string f)
 
 let test_sandbox_exhaustion () =
   let calls = ref 0 in
   let f () = incr calls; failwith "always" in
-  match Sandbox.protect ~max_retries:2 ~site:"t" f with
+  match run_fitness ~max_retries:2 ~site:"t" f with
   | Ok _ -> Alcotest.fail "should have failed"
   | Error fl ->
     Alcotest.(check int) "attempts = 1 + max_retries" 3 fl.Sandbox.f_attempts;
@@ -88,21 +93,21 @@ let test_sandbox_exhaustion () =
 let test_sandbox_corrupt_output () =
   let calls = ref 0 in
   let f () = incr calls; Float.nan in
-  (match Sandbox.protect ~max_retries:1 ~site:"t" f with
+  (match run_fitness ~max_retries:1 ~site:"t" f with
   | Ok _ -> Alcotest.fail "NaN must not be an Ok value"
   | Error fl ->
     Alcotest.(check int) "retried once" 2 fl.Sandbox.f_attempts;
     Alcotest.(check bool) "reason mentions corrupt" true
       (String.length fl.Sandbox.f_reason >= 7
       && String.sub fl.Sandbox.f_reason 0 7 = "corrupt"));
-  match Sandbox.protect ~site:"t" (fun () -> Float.infinity) with
+  match run_fitness ~site:"t" (fun () -> Float.infinity) with
   | Ok _ -> Alcotest.fail "infinity must not be an Ok value"
   | Error _ -> ()
 
 let test_sandbox_classify_rejects () =
   let f () = raise Exit in
   Alcotest.check_raises "unclassified exception propagates" Exit (fun () ->
-      ignore (Sandbox.protect ~classify:(fun e -> e <> Exit) ~site:"t" f))
+      ignore (run_fitness ~classify:(fun e -> e <> Exit) ~site:"t" f))
 
 let test_sandbox_run_generic_corrupt () =
   (* The generic engine retries arbitrary result types; [corrupt] rejects a
@@ -140,10 +145,10 @@ let hang_gate site () =
 let test_sandbox_hang_retries_then_succeeds () =
   arm_from_env "sbx:hang@1";
   Fun.protect ~finally:Faultinject.clear (fun () ->
-      match Sandbox.protect ~max_retries:2 ~site:"sbx" (hang_gate "sbx") with
+      match run_fitness ~max_retries:2 ~site:"sbx" (hang_gate "sbx") with
       | Ok ok ->
-        Alcotest.(check (float 0.0)) "recovered value" 0.5 ok.Sandbox.value;
-        Alcotest.(check int) "hang, then success" 2 ok.Sandbox.attempts
+        Alcotest.(check (float 0.0)) "recovered value" 0.5 ok.Sandbox.result;
+        Alcotest.(check int) "hang, then success" 2 ok.Sandbox.o_attempts
       | Error fl -> Alcotest.failf "unexpected failure: %s" (Sandbox.failure_to_string fl))
 
 let test_sandbox_hang_exhaustion_deterministic_backoff () =
@@ -151,7 +156,7 @@ let test_sandbox_hang_exhaustion_deterministic_backoff () =
      schedule prescribes (1 after attempt 1, 2 after attempt 2), every run. *)
   arm_from_env "sbx2:hang@1,sbx2:hang@2,sbx2:hang@3";
   Fun.protect ~finally:Faultinject.clear (fun () ->
-      match Sandbox.protect ~max_retries:2 ~site:"sbx2" (hang_gate "sbx2") with
+      match run_fitness ~max_retries:2 ~site:"sbx2" (hang_gate "sbx2") with
       | Ok _ -> Alcotest.fail "three hangs must exhaust two retries"
       | Error fl ->
         Alcotest.(check int) "attempts" 3 fl.Sandbox.f_attempts;
@@ -167,67 +172,191 @@ let test_backoff_schedule () =
   Alcotest.(check int) "capped" (Sandbox.backoff_units ~attempt:100)
     (Sandbox.backoff_units ~attempt:21)
 
-(* --- Checkpoint --- *)
+(* --- Checkpoint: one format, every behaviour tested through both genome
+   codecs --- *)
 
-let sample_state =
+module Tree = Inltune_gp.Tree
+
+let history =
+  [
+    { Checkpoint.generation = 0; best_fitness = 1.0; mean_fitness = 2.0; evaluations = 2 };
+    { Checkpoint.generation = 7; best_fitness = 0.5; mean_fitness = 0.75; evaluations = 4 };
+  ]
+
+let sample ~pop ~best ~cache ~quarantine =
   {
-    Checkpoint.gen = 7;
-    rng = -4616189618054758400L;
-    pop = [| [| 1; 2; 3 |]; [| 4; 5; 6 |] |];
-    best = [| 1; 2; 3 |];
-    best_fitness = 0.123456789012345678;
-    cache = [ ("1,2,3", 0.5); ("4,5,6", 1.0e6) ];
-    quarantine = [ "4,5,6" ];
-    history =
-      [
-        { Checkpoint.e_gen = 0; e_best = 1.0; e_mean = 2.0; e_evals = 2 };
-        { Checkpoint.e_gen = 7; e_best = 0.5; e_mean = 0.75; e_evals = 4 };
-      ];
-    evaluations = 4;
-    cache_hits = 9;
-    failures = 1;
-    retries = 2;
-    pop_size = 2;
-    seed = 42;
+    Checkpoint.s_gen = 7;
+    s_rng = -4616189618054758400L;
+    s_pop = pop;
+    s_best = Some best;
+    s_best_fitness = 0.123456789012345678;
+    s_cache = cache;
+    s_quarantine = quarantine;
+    s_history = history;
+    s_evaluations = 4;
+    s_cache_hits = 9;
+    s_failures = 1;
+    s_retries = 2;
   }
 
+let echo = { Checkpoint.pop_size = 2; seed = 42 }
+
+(* A codec, a sample snapshot, and one line the previous release of each
+   checkpoint module wrote (generation 0 of a 3-individual run with one
+   quarantined genome).  The format is unchanged, so those lines must load
+   and re-serialize byte-for-byte. *)
+type case = Case : string * 'g Checkpoint.codec * 'g Checkpoint.snapshot * string -> case
+
+let ga_case =
+  Case
+    ( "ga",
+      Checkpoint.ints,
+      sample
+        ~pop:[| [| 1; 2; 3 |]; [| 4; 5; 6 |] |]
+        ~best:[| 1; 2; 3 |]
+        ~cache:[ ("1,2,3", 0.5); ("4,5,6", 1.0e6) ]
+        ~quarantine:[ "4,5,6" ],
+      {|{"v":1,"gen":0,"rng":"4990025626462012773","pop_size":3,"seed":42,"pop":[[4,13,5,3942,13],[16,12,3,502,44],[2,12,10,3374,40]],"best":[16,12,3,502,44],"best_fitness":0.94582199525555644,"cache":{"16,12,3,502,44":0.94582199525555644,"2,12,10,3374,40":1000000,"4,13,5,3942,13":1.0767278503170155},"quarantine":["2,12,10,3374,40"],"history":[{"gen":0,"best":0.94582199525555644,"mean":333334.00751661521,"evals":3}],"evaluations":3,"cache_hits":0,"failures":1,"retries":1}|}
+    )
+
+let gp_case =
+  let t1 = Tree.(Cmp (Le, Feat 0, Const 10.0)) in
+  let t2 = Tree.(And (True, Not (Cmp (Gt, Feat 2, Const 3.0)))) in
+  Case
+    ( "gp",
+      Inltune_gp.Evolve.codec,
+      sample ~pop:[| t1; t2; Tree.True |] ~best:t1
+        ~cache:[ (Tree.digest t1, 1.0625); (Tree.digest t2, 1.25) ]
+        ~quarantine:[ "deadbeef" ],
+      {|{"v":1,"gen":0,"rng":"-2841327132798346042","pop_size":3,"seed":4,"pop":["(not (not (or (le (const 3) (feat 9)) (le (const 1803) (feat 8)))))","(or (and (le (const 19) (feat 0)) (le (const 8) (const 4))) (not (le (const 9) (const 351))))","(gt (min (const 7) (const 11)) (max (feat 3) (feat 2)))"],"best":"(not (not (or (le (const 3) (feat 9)) (le (const 1803) (feat 8)))))","best_fitness":1.1517120307246989,"cache":{"6ab5155da1b860706fdc635062ce8e45":1.152012030724699,"8bca82ce6aa7e9977e969cca6b077ab7":1.1517120307246989,"8c325ae3031a5abcce2bc1e6cc5ee8da":1000000},"quarantine":["8c325ae3031a5abcce2bc1e6cc5ee8da"],"history":[{"gen":0,"best":1.1517120307246989,"mean":333334.10124135384,"evals":3}],"evaluations":3,"cache_hits":0,"failures":1,"retries":1}|}
+    )
+
+let cases = [ ga_case; gp_case ]
+
+let with_temp_file f =
+  let path = Filename.temp_file "inltune_ckpt" ".jsonl" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
+
+let check_round_trip kind codec s =
+  match Checkpoint.of_line codec (Checkpoint.to_line codec echo s) with
+  | Error m -> Alcotest.failf "%s: of_line: %s" kind m
+  | Ok (s', echo') ->
+    Alcotest.(check bool) (kind ^ ": exact round-trip") true (s' = s);
+    Alcotest.(check bool) (kind ^ ": echo") true (echo' = echo)
+
 let test_checkpoint_roundtrip () =
-  match Checkpoint.of_line (Checkpoint.to_line sample_state) with
-  | Error m -> Alcotest.failf "of_line: %s" m
-  | Ok s ->
-    Alcotest.(check bool) "exact round-trip" true (s = sample_state);
-    Alcotest.(check int64) "raw rng state" sample_state.Checkpoint.rng s.Checkpoint.rng
+  List.iter
+    (fun (Case (kind, codec, s, _)) ->
+      check_round_trip kind codec s;
+      check_round_trip (kind ^ " without a best") codec { s with Checkpoint.s_best = None })
+    cases
 
 let test_checkpoint_float_fidelity () =
-  let s = { sample_state with Checkpoint.best_fitness = 0.1 +. 0.2 } in
-  match Checkpoint.of_line (Checkpoint.to_line s) with
-  | Error m -> Alcotest.failf "of_line: %s" m
-  | Ok s' ->
-    Alcotest.(check bool) "bit-identical float" true
-      (Int64.equal
-         (Int64.bits_of_float s.Checkpoint.best_fitness)
-         (Int64.bits_of_float s'.Checkpoint.best_fitness))
+  List.iter
+    (fun (Case (kind, codec, s, _)) ->
+      let s = { s with Checkpoint.s_best_fitness = 0.1 +. 0.2 } in
+      match Checkpoint.of_line codec (Checkpoint.to_line codec echo s) with
+      | Error m -> Alcotest.failf "%s: of_line: %s" kind m
+      | Ok (s', _) ->
+        Alcotest.(check bool) (kind ^ ": bit-identical float") true
+          (Int64.equal
+             (Int64.bits_of_float s.Checkpoint.s_best_fitness)
+             (Int64.bits_of_float s'.Checkpoint.s_best_fitness)))
+    cases
 
 let test_checkpoint_load_last_valid () =
-  let path = Filename.temp_file "inltune_ckpt" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let early = { sample_state with Checkpoint.gen = 3 } in
-      Checkpoint.write ~path early;
-      Checkpoint.write ~path sample_state;
-      (* Simulate a crash mid-append: a truncated last line. *)
-      let oc = open_out_gen [ Open_append ] 0o644 path in
-      output_string oc (String.sub (Checkpoint.to_line sample_state) 0 25);
-      close_out oc;
-      match Checkpoint.load ~path with
-      | Error m -> Alcotest.failf "load: %s" m
-      | Ok s -> Alcotest.(check int) "last complete snapshot wins" 7 s.Checkpoint.gen)
+  List.iter
+    (fun (Case (kind, codec, s, _)) ->
+      with_temp_file (fun path ->
+          Checkpoint.write codec ~path echo { s with Checkpoint.s_gen = 3 };
+          Checkpoint.write codec ~path echo s;
+          (* Simulate a crash mid-append: a truncated last line. *)
+          let oc = open_out_gen [ Open_append ] 0o644 path in
+          output_string oc (String.sub (Checkpoint.to_line codec echo s) 0 25);
+          close_out oc;
+          match Checkpoint.load codec ~path with
+          | Error m -> Alcotest.failf "%s: load: %s" kind m
+          | Ok (s', _) ->
+            Alcotest.(check int) (kind ^ ": last complete snapshot wins") 7 s'.Checkpoint.s_gen;
+            Alcotest.(check bool) (kind ^ ": that snapshot intact") true (s' = s)))
+    cases
 
 let test_checkpoint_load_missing () =
-  match Checkpoint.load ~path:"/nonexistent/inltune.ckpt" with
-  | Ok _ -> Alcotest.fail "missing file must not load"
-  | Error _ -> ()
+  List.iter
+    (fun (Case (kind, codec, _, _)) ->
+      match Checkpoint.load codec ~path:"/nonexistent/inltune.ckpt" with
+      | Ok _ -> Alcotest.failf "%s: missing file must not load" kind
+      | Error _ -> ())
+    cases
+
+let test_checkpoint_load_garbage () =
+  List.iter
+    (fun (Case (kind, codec, _, _)) ->
+      with_temp_file (fun path ->
+          let oc = open_out path in
+          output_string oc "not a checkpoint\n{\"v\":1,\"gen\":4,\"rng\":\"12\n";
+          close_out oc;
+          match Checkpoint.load codec ~path with
+          | Ok _ -> Alcotest.failf "%s: garbage must not load" kind
+          | Error _ -> ()))
+    cases
+
+let test_checkpoint_fixed_lines () =
+  List.iter
+    (fun (Case (kind, codec, _, line)) ->
+      match Checkpoint.of_line codec line with
+      | Error m -> Alcotest.failf "%s: fixed line does not load: %s" kind m
+      | Ok (s, echo) ->
+        Alcotest.(check string) (kind ^ ": re-serialized byte-for-byte") line
+          (Checkpoint.to_line codec echo s))
+    cases
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+let test_checkpoint_wrong_kind () =
+  (* Every line of one kind, loaded with the other kind's codec, fails with
+     an error naming both kinds — from a line and from a file. *)
+  List.iter
+    (fun (Case (file_kind, _, _, line)) ->
+      List.iter
+        (fun (Case (run_kind, codec, _, _)) ->
+          if run_kind <> file_kind then begin
+            let expect what = function
+              | Ok _ -> Alcotest.failf "%s line accepted by the %s codec" file_kind run_kind
+              | Error msg ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s: %s names both kinds: %s" what file_kind msg)
+                  true
+                  (contains msg (Printf.sprintf "holds %s genomes" file_kind)
+                  && contains msg (Printf.sprintf "this run is %s" run_kind))
+            in
+            expect "of_line" (Checkpoint.of_line codec line);
+            with_temp_file (fun path ->
+                let oc = open_out path in
+                output_string oc (line ^ "\n");
+                close_out oc;
+                expect "load" (Checkpoint.load codec ~path))
+          end)
+        cases)
+    cases
+
+let test_checkpoint_write_event_kind () =
+  let sink, events = Inltune_obs.Sink.memory () in
+  Inltune_obs.Trace.install sink;
+  Fun.protect ~finally:Inltune_obs.Trace.disable (fun () ->
+      with_temp_file (fun path ->
+          List.iter (fun (Case (_, codec, s, _)) -> Checkpoint.write codec ~path echo s) cases));
+  let kinds = ref [] in
+  Inltune_support.Vec.iter
+    (fun e ->
+      if e.Inltune_obs.Event.name = "ckpt.write" then
+        kinds := Inltune_obs.Event.str_field e "kind" :: !kinds)
+    events;
+  Alcotest.(check (list (option string))) "one event per write, with its kind"
+    [ Some "ga"; Some "gp" ] (List.rev !kinds)
 
 (* --- Guarded evolution --- *)
 
@@ -364,15 +493,21 @@ let test_resume_rejects_mismatched_params () =
       let params =
         { small_params with Evolve.generations = 4; seed = small_params.Evolve.seed + 1 }
       in
-      let raised =
-        try
-          ignore
-            (Evolve.run ~resume:ckpt ~guard:Evolve.default_guard ~spec:spec3 ~params
-               ~fitness:sphere ());
-          false
-        with Invalid_argument _ -> true
+      let rejection ?(spec = spec3) ~params path =
+        match
+          Evolve.run ~resume:path ~guard:Evolve.default_guard ~spec ~params ~fitness:sphere ()
+        with
+        | _ -> None
+        | exception Evolve.Cannot_resume msg -> Some msg
       in
-      Alcotest.(check bool) "seed mismatch rejected" true raised)
+      (match rejection ~params ckpt with
+      | Some msg -> Alcotest.(check bool) ("seed mismatch named: " ^ msg) true (contains msg "seed")
+      | None -> Alcotest.fail "seed mismatch accepted");
+      Alcotest.(check bool) "missing file rejected" true
+        (rejection ~params:small_params (ckpt ^ ".missing") <> None);
+      Alcotest.(check bool) "genomes outside the spec rejected" true
+        (rejection ~spec:(Genome.spec [| (0, 1); (0, 1); (0, 1) |]) ~params:small_params ckpt
+        <> None))
 
 let suite =
   [
@@ -394,6 +529,10 @@ let suite =
     ("checkpoint float fidelity", `Quick, test_checkpoint_float_fidelity);
     ("checkpoint load last valid", `Quick, test_checkpoint_load_last_valid);
     ("checkpoint load missing", `Quick, test_checkpoint_load_missing);
+    ("checkpoint load garbage", `Quick, test_checkpoint_load_garbage);
+    ("checkpoint fixed lines reload byte-for-byte", `Quick, test_checkpoint_fixed_lines);
+    ("checkpoint wrong kind names both kinds", `Quick, test_checkpoint_wrong_kind);
+    ("checkpoint write event carries kind", `Quick, test_checkpoint_write_event_kind);
     ("guarded run isolates failures", `Quick, test_guarded_run_isolates_failures);
     ("quarantine stops re-evaluation", `Quick, test_quarantine_stops_reevaluation);
     ("degradation stops search", `Quick, test_degradation_stops_search);

@@ -211,6 +211,10 @@ let test_e2e_ping_measure_dedup () =
       let bad = rpc ep "not json" in
       Alcotest.(check (option string)) "protocol error" (Some "error")
         (reply_field bad "status");
+      (* A population the search engine would refuse is a bad request. *)
+      let small = rpc ep {|{"op":"tune","scenario":"opt:tot","pop":2,"gens":1}|} in
+      Alcotest.(check (option string)) "unrunnable pop rejected" (Some "error")
+        (reply_field small "status");
       (* Same id twice: second reply is the first one replayed. *)
       let req =
         {|{"id":"m1","tenant":"tt","op":"measure","bench":"compress"}|}
