@@ -68,40 +68,47 @@ module Json = Inltune_obs.Json
 type pinfo = {
   p_digest : string;            (* hex MD5 of the canonical text form *)
   p_cp : Ir.methd array;        (* constant-propagated methods (Opt walks) *)
+  p_index : Engine.index;       (* shapes of the original methods *)
+  p_roots : Engine.shape array; (* shapes of the constant-propagated methods *)
   p_sizes : int array;          (* distinct static method sizes, sorted *)
   p_nmethods : int;
 }
 
+let build_pinfo prog =
+  let cp = Array.map (fun m -> fst (Constprop.run prog m)) prog.Ir.methods in
+  let index = Engine.index prog in
+  {
+    p_digest = Digest.to_hex (Digest.string (Text.to_string prog));
+    p_cp = cp;
+    p_index = index;
+    p_roots = Array.map Engine.shape cp;
+    p_sizes =
+      Array.to_list index
+      |> List.map (fun sh -> sh.Engine.s_size)
+      |> List.sort_uniq compare |> Array.of_list;
+    p_nmethods = Array.length prog.Ir.methods;
+  }
+
 (* Keyed by physical identity: [Suites.program] shares one immutable program
-   value per benchmark per process, so this list stays as short as the suite. *)
-let pinfo_mu = Mutex.create ()
-let pinfos : (Ir.program * pinfo) list ref = ref []
+   value per benchmark per process, so a suite's worth of entries covers a
+   search.  Bounded so a long-lived daemon that sees many programs keeps a
+   fixed footprint; an evicted entry is rebuilt, identically, when its
+   program comes back. *)
+module Pinfos = Inltune_support.Idmemo.Make (struct
+  type t = Ir.program
+end)
+
+let pinfo_capacity = 64
+let pinfos : pinfo Pinfos.t = Pinfos.create ~capacity:pinfo_capacity
 
 let pinfo_of prog =
-  Mutex.lock pinfo_mu;
+  let built = ref false in
   let info =
-    match List.find_opt (fun (p, _) -> p == prog) !pinfos with
-    | Some (_, i) -> i
-    | None ->
-      let digest = Digest.to_hex (Digest.string (Text.to_string prog)) in
-      let cp = Array.map (fun m -> fst (Constprop.run prog m)) prog.Ir.methods in
-      let sizes =
-        Array.to_list prog.Ir.methods
-        |> List.map Size.of_method
-        |> List.sort_uniq compare |> Array.of_list
-      in
-      let i =
-        {
-          p_digest = digest;
-          p_cp = cp;
-          p_sizes = sizes;
-          p_nmethods = Array.length prog.Ir.methods;
-        }
-      in
-      pinfos := (prog, i) :: !pinfos;
-      i
+    Pinfos.find_or_add pinfos prog (fun prog ->
+        built := true;
+        build_pinfo prog)
   in
-  Mutex.unlock pinfo_mu;
+  if !built then Metric.set (Metric.counter "fitness.pinfo_entries") (Pinfos.length pinfos);
   info
 
 let program_digest prog = (pinfo_of prog).p_digest
@@ -125,9 +132,11 @@ let any_enabled_inliner ~skip plan =
    bit strings of [policy_of] over the constprop'd methods.  The strings
    themselves are the exact verdicts each method's compile will reach, so
    they travel on to the simulation as its compiled-method cache walk. *)
-let walk_signature info prog policy_of =
+let walk_signature info policy_of =
   let decisions =
-    Array.map (fun cpm -> Inline.plan_policy ~program:prog ~policy:(policy_of cpm) cpm) info.p_cp
+    Array.mapi
+      (fun mid root -> Engine.walk ~index:info.p_index ~policy:(policy_of info.p_cp.(mid)) root)
+      info.p_roots
   in
   let buf = Buffer.create 256 in
   Array.iter
@@ -167,7 +176,7 @@ let heuristic_signature ~scenario ~plan heuristic prog =
         (* Exact: the walk replays the decider's verdict sequence.  Strategy
            items scheduled after inline are decider-independent functions of
            its output, so equal walks still imply identical compilation. *)
-        walk_signature (info ()) prog (fun _ -> Policy.of_heuristic heuristic)
+        walk_signature (info ()) (fun _ -> Policy.of_heuristic heuristic)
       | Some it when not heuristic_used -> (
         (* The leading inliner is a strategy and the decider-driven inline
            item is off: decisions read nothing the heuristic controls, so
@@ -175,7 +184,7 @@ let heuristic_signature ~scenario ~plan heuristic prog =
            different verdict vectors hash apart, which keeps their
            measurements apart even before the key's plan tag does. *)
         match Option.bind (Pass.find it.Plan.pass) (fun p -> p.Pass.static_policy) with
-        | Some mk -> walk_signature (info ()) prog (mk (Plan.item_knob it) prog)
+        | Some mk -> walk_signature (info ()) (mk (Plan.item_knob it) prog)
         | None -> opaque "n:static" (* non-static strategy: plan tag isolates *))
       | Some _ ->
         (* A strategy leads but the heuristic-driven inline item still runs
@@ -253,7 +262,7 @@ let signature_walk ~scenario ~decider ~inline_enabled ~plan prog =
       match scenario with
       | Machine.Opt when p.static && Plan.walk_compatible plan ->
         let policy = p.policy no_profile in
-        walk_signature (pinfo_of prog) prog (fun _ -> policy)
+        walk_signature (pinfo_of prog) (fun _ -> policy)
       | Machine.Opt | Machine.Adapt | Machine.Ladder -> opaque ("g:" ^ p.digest))
 
 let signature ~scenario ~decider ~inline_enabled ~plan prog =

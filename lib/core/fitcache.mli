@@ -27,12 +27,22 @@ open Inltune_vm
     checkpoint/resume.  Counters: ["fitness.sig_hits"],
     ["fitness.sig_misses"], ["fitness.unique_plans"],
     ["fitness.cache_corrupt"] (skipped JSONL lines on load) and — with a
-    tenant hook installed — ["fitness.cross_tenant_hits"]. *)
+    tenant hook installed — ["fitness.cross_tenant_hits"].
+
+    Per-program data — the digest, the constant-propagated methods and the
+    decision walk's {!Inltune_opt.Engine.index} — is built once per program
+    value (physical identity) and held in a table of at most
+    {!pinfo_capacity} entries, oldest dropped first and rebuilt on demand;
+    the gauge ["fitness.pinfo_entries"] reports its size.  A lookup's walk
+    therefore costs O(decisions), not O(IR). *)
 
 (** Hex digest of the program's canonical text form; memoized per program
     value.  Part of every cache key, so signatures can never collide across
     programs. *)
 val program_digest : Ir.program -> string
+
+(** How many programs' derived data the cache keeps at once. *)
+val pinfo_capacity : int
 
 (** What decides the inlining of a query: the Fig. 3/4 heuristic, or a
     first-class policy.  [policy] is the factory the VM applies to its live

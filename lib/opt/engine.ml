@@ -24,7 +24,9 @@ open Inltune_jir
 
    [walk] is the decision-procedure-only twin of [run]: it visits call sites
    in exactly the order [run] decides them and records the effective accept
-   bits without building any IR — the semantic cache key Fitcache relies on. *)
+   bits without building any IR — the semantic cache key Fitcache relies on.
+   It reads a per-program {!index} of method sizes and call lists, not the
+   IR. *)
 
 module Vec = Inltune_support.Vec
 module Trace = Inltune_obs.Trace
@@ -283,63 +285,72 @@ let run ?hot_site ?decisions ~program ~policy m =
   in
   ({ m with Ir.nregs = ctx.nregs; blocks }, ctx.stats)
 
+(* The decision walk's view of a program: what [walk] reads of each method
+   is its static size and its direct [Call] callees in instruction order —
+   the order [run] reaches them — and nothing else.  Building that once per
+   program makes a walk cost O(decisions) instead of re-reading every
+   inlined body. *)
+type shape = {
+  s_mid : Ir.mid;
+  s_size : int;            (* [Size.of_method] *)
+  s_calls : Ir.mid array;  (* direct call callees, in instruction order *)
+}
+
+let shape (m : Ir.methd) =
+  let calls = Vec.create () in
+  Array.iter
+    (fun blk ->
+      Array.iter (function Ir.Call (_, callee, _) -> Vec.push calls callee | _ -> ()) blk.Ir.instrs)
+    m.Ir.blocks;
+  { s_mid = m.Ir.mid; s_size = Size.of_method m; s_calls = Vec.to_array calls }
+
+type index = shape array
+
+let index program = Array.map shape program.Ir.methods
+
 (* Decision-procedure-only walk: visit call sites in exactly the order
    [run] would and record each policy-decided site's effective accept bit
    ('1'/'0'), without building any output IR.  The traversal mirrors the
    transformation precisely — accepted callees are descended into depth-first
-   with the original body from [program], the expanded-size accumulator grows
-   on acceptance, the recursion guard skips chained callees (their outcome is
-   policy-independent, so they contribute no bit), and [max_expanded_size]
-   turns policy acceptances into rejections the same way [decide] does.
+   through their original bodies' shapes in [index], the expanded-size
+   accumulator grows on acceptance, the recursion guard skips chained
+   callees (their outcome is policy-independent, so they contribute no bit),
+   and [max_expanded_size] turns policy acceptances into rejections the same
+   way [decide] does.
 
    The resulting bit string fully determines the transformed method: the
    emitted code depends only on which sites are expanded, so two policies
    with equal plans over a program compile it identically.  That makes the
    plan a sound semantic key for fitness caching (Fitcache). *)
-let walk ?hot_site ~program ~policy m =
-  let size_cache = Hashtbl.create 64 in
-  let callee_size mid =
-    match Hashtbl.find_opt size_cache mid with
-    | Some s -> s
-    | None ->
-      let s = Size.of_method program.Ir.methods.(mid) in
-      Hashtbl.add size_cache mid s;
-      s
-  in
+let walk ?hot_site ~index ~policy root =
   let buf = Buffer.create 64 in
-  let size = ref (Size.of_method m) in
-  let rec walk_blocks ~owner ~depth ~chain blocks =
+  let size = ref root.s_size in
+  let rec walk_calls ~owner ~depth ~chain calls =
     Array.iter
-      (fun blk ->
-        Array.iter
-          (fun i ->
-            match i with
-            | Ir.Call (_, callee, _) when not (List.mem callee chain) ->
-              let cs = callee_size callee in
-              let hot =
-                match hot_site with Some f -> f ~site_owner:owner ~callee | None -> false
-              in
-              let verdict =
-                policy.Policy.decide
-                  {
-                    Policy.owner;
-                    callee;
-                    callee_size = cs;
-                    inline_depth = depth + 1;
-                    caller_size = !size;
-                    hot;
-                  }
-              in
-              let accept = verdict.Policy.accept && !size + cs <= max_expanded_size in
-              Buffer.add_char buf (if accept then '1' else '0');
-              if accept then begin
-                size := !size + cs;
-                walk_blocks ~owner:callee ~depth:(depth + 1) ~chain:(callee :: chain)
-                  program.Ir.methods.(callee).Ir.blocks
-              end
-            | _ -> ())
-          blk.Ir.instrs)
-      blocks
+      (fun callee ->
+        if not (List.mem callee chain) then begin
+          let cs = index.(callee).s_size in
+          let hot = match hot_site with Some f -> f ~site_owner:owner ~callee | None -> false in
+          let verdict =
+            policy.Policy.decide
+              {
+                Policy.owner;
+                callee;
+                callee_size = cs;
+                inline_depth = depth + 1;
+                caller_size = !size;
+                hot;
+              }
+          in
+          let accept = verdict.Policy.accept && !size + cs <= max_expanded_size in
+          Buffer.add_char buf (if accept then '1' else '0');
+          if accept then begin
+            size := !size + cs;
+            walk_calls ~owner:callee ~depth:(depth + 1) ~chain:(callee :: chain)
+              index.(callee).s_calls
+          end
+        end)
+      calls
   in
-  walk_blocks ~owner:m.Ir.mid ~depth:0 ~chain:[ m.Ir.mid ] m.Ir.blocks;
+  walk_calls ~owner:root.s_mid ~depth:0 ~chain:[ root.s_mid ] root.s_calls;
   Buffer.contents buf

@@ -60,17 +60,37 @@ val run :
   Ir.methd ->
   Ir.methd * stats
 
-(** [walk ~program ~policy m] runs only the decision procedure — no code is
-    built, nothing is executed — and returns the method's inlining plan: one
-    '1'/'0' per policy-decided call site, in the exact order {!run} decides
-    them (accepted callees are descended into depth-first; recursion-guarded
-    sites are policy-independent and contribute no bit;
-    {!max_expanded_size} overrides acceptances the same way).  The plan
-    fully determines the transformed code, so equal plans imply identical
-    compilation — the semantic cache key fitness caching relies on. *)
+(** What the decision walk reads of one method: its id, its static size
+    ({!Inltune_jir.Size.of_method}) and the callee ids of its direct [Call]
+    instructions, in the order {!run} reaches them. *)
+type shape = {
+  s_mid : Ir.mid;
+  s_size : int;
+  s_calls : Ir.mid array;
+}
+
+val shape : Ir.methd -> shape
+
+(** A program's shapes, indexed by method id.  Build it once per program;
+    every walk over the program can share it. *)
+type index = shape array
+
+val index : Ir.program -> index
+
+(** [walk ~index ~policy root] runs only the decision procedure — no code is
+    built, nothing is executed — and returns the inlining plan of the method
+    whose shape is [root]: one '1'/'0' per policy-decided call site, in the
+    exact order {!run} decides them (accepted callees are descended into
+    depth-first through their shapes in [index]; recursion-guarded sites are
+    policy-independent and contribute no bit; {!max_expanded_size} overrides
+    acceptances the same way).  [root] need not be in [index] (a
+    constant-propagated method walks from its own shape while its callees
+    keep their original bodies, as in {!run}).  The plan fully determines
+    the transformed code, so equal plans imply identical compilation — the
+    semantic cache key fitness caching relies on.  Costs O(decisions). *)
 val walk :
   ?hot_site:(site_owner:Ir.mid -> callee:Ir.mid -> bool) ->
-  program:Ir.program ->
+  index:index ->
   policy:Policy.t ->
-  Ir.methd ->
+  shape ->
   string

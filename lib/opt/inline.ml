@@ -43,10 +43,11 @@ let run_policy ?hot_site ?decisions ~program ~policy m =
 let run ?hot_site ?decisions ~program ~heuristic m =
   Engine.run ?hot_site ?decisions ~program ~policy:(Policy.of_heuristic heuristic) m
 
-let plan_policy ?hot_site ~program ~policy m = Engine.walk ?hot_site ~program ~policy m
+let plan_policy ?hot_site ~program ~policy m =
+  Engine.walk ?hot_site ~index:(Engine.index program) ~policy (Engine.shape m)
 
 let plan ?hot_site ~program ~heuristic m =
-  Engine.walk ?hot_site ~program ~policy:(Policy.of_heuristic heuristic) m
+  plan_policy ?hot_site ~program ~policy:(Policy.of_heuristic heuristic) m
 
 let run_custom ?decisions ~decide ~program m =
   Engine.run ?decisions ~program ~policy:(Policy.of_custom decide) m

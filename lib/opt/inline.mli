@@ -74,7 +74,9 @@ val run :
     contribute no bit; {!max_expanded_size} overrides acceptances the same
     way).  The plan fully determines the transformed code, so equal plans
     imply identical compilation — the semantic cache key fitness caching
-    relies on. *)
+    relies on.  Builds [program]'s {!Engine.index} for the one walk; a
+    caller walking one program many times builds the index once and calls
+    {!Engine.walk}. *)
 val plan_policy :
   ?hot_site:(site_owner:Ir.mid -> callee:Ir.mid -> bool) ->
   program:Ir.program ->

@@ -146,6 +146,8 @@ let exec_batch pool b ~stolen =
         b.b_finished <- true;
         pool.queue <- List.filter (fun b' -> b' != b) pool.queue;
         Condition.broadcast pool.done_cv;
+        (* Workers parked behind a participant cap re-park as idle. *)
+        if List.is_empty pool.queue then Condition.broadcast pool.work_cv;
         Mutex.unlock pool.lock
       end
     end
@@ -170,12 +172,18 @@ let worker_main pool =
       (* Drain before exiting: stop only once no batch has claimable work. *)
       if pool.stopping then continue := false
       else begin
-        (* Starvation accounting: time spent parked waiting for work.
-           pool.idle_ns / (pool.idle_ns + pool.busy_ns) is the pool's
-           starvation fraction over the run. *)
+        (* Starvation accounting: time spent parked while nothing at all is
+           queued.  A worker parked because every queued batch is at its
+           participant cap is not starved — the caller chose to run with
+           fewer domains — so that wait is not counted; the last batch
+           leaving the queue wakes such workers, and they park again here
+           as idle.  pool.idle_ns / (pool.idle_ns + pool.busy_ns) is the
+           pool's starvation fraction over the run. *)
+        let starved = List.is_empty pool.queue in
         let t0 = Unix.gettimeofday () in
         Condition.wait pool.work_cv pool.lock;
-        !counter_hook "pool.idle_ns" (Float.to_int ((Unix.gettimeofday () -. t0) *. 1e9))
+        if starved then
+          !counter_hook "pool.idle_ns" (Float.to_int ((Unix.gettimeofday () -. t0) *. 1e9))
       end
   done;
   Mutex.unlock pool.lock

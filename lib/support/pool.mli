@@ -107,7 +107,9 @@ val get_default : unit -> t
     [f name delta]: ["pool.tasks_stolen"] (grid indices executed by a
     non-submitting worker), ["pool.busy_ns"] (wall time workers spent
     running stolen chunks), ["pool.idle_ns"] (wall time workers spent
-    parked waiting for work — the starvation signal) and
+    parked while no batch was queued — the starvation signal; a worker
+    parked because every queued batch is at its participant cap is not
+    counted) and
     ["pool.tasks_cancelled"] (indices resolved as {!Cancelled} without
     running).  [lib/support] cannot
     depend on the metrics registry, so [Inltune_obs] installs the bridge at

@@ -95,49 +95,55 @@ let o1 (plat : Platform.t) codespace program ~profile m =
   (c, Platform.o1_compile_cycles plat ~size)
 
 (* The optimizing tier splits in two.  [optimize] is the host-expensive
-   part — the pipeline and register allocation — and a pure function of
-   the program, the pipeline's inputs and the platform, which is what lets
-   {!Compile_cache} share its result.  [install_optimized] is what every VM
-   does for itself: reserve code space, lower against its own profile, and
-   charge the simulated compile cycles. *)
+   part — the pipeline, register allocation and the lowering template — and
+   a pure function of the program, the pipeline's inputs and the platform,
+   which is what lets {!Compile_cache} share its result.  [install_optimized]
+   is what every VM does for itself: reserve code space, relocate the
+   template to it against its own profile, and charge the simulated compile
+   cycles. *)
 type optimized = {
   o_code : Ir.methd;
   o_stats : Pipeline.stats;
   o_code_bytes : int;
+  o_bytes_per_instr : int;
+  o_block_offsets : int array;
   o_block_spill_cost : int;
   o_spills : int;
+  o_template : Lower.template;
 }
 
 let optimize (plat : Platform.t) program config m =
   let code, stats = Pipeline.run program config m in
   let ra = Regalloc.run ~phys_regs:plat.Platform.phys_regs code in
+  let code_bytes = Size.code_bytes ~expansion:plat.Platform.opt_expansion code in
+  let bytes_per_instr = max 1 (code_bytes / max 1 (Ir.instr_count code)) in
+  let block_spill_cost = Regalloc.block_spill_cost plat code ra in
   {
     o_code = code;
     o_stats = stats;
-    o_code_bytes = Size.code_bytes ~expansion:plat.Platform.opt_expansion code;
-    o_block_spill_cost = Regalloc.block_spill_cost plat code ra;
+    o_code_bytes = code_bytes;
+    o_bytes_per_instr = bytes_per_instr;
+    o_block_offsets = block_offsets code;
+    o_block_spill_cost = block_spill_cost;
     o_spills = ra.Regalloc.spilled;
+    o_template =
+      Lower.template ~plat ~owner:m.Ir.mid ~quality:1 ~bytes_per_instr
+        ~spill:block_spill_cost code;
   }
 
-let install_optimized (plat : Platform.t) codespace ~profile ~owner o =
-  let code = o.o_code and code_bytes = o.o_code_bytes in
-  let addr = Codespace.alloc codespace code_bytes in
-  let instrs = max 1 (Ir.instr_count code) in
-  let bytes_per_instr = max 1 (code_bytes / instrs) in
-  let block_spill_cost = o.o_block_spill_cost in
+let install_optimized (plat : Platform.t) codespace ~profile o =
+  let addr = Codespace.alloc codespace o.o_code_bytes in
   let c =
     {
       tier = Optimized;
-      code;
-      flat =
-        Lower.lower ~plat ~profile ~owner ~quality:1 ~addr ~bytes_per_instr
-          ~spill:block_spill_cost code;
+      code = o.o_code;
+      flat = Lower.instantiate o.o_template ~profile ~addr;
       addr;
-      code_bytes;
-      bytes_per_instr;
-      block_offsets = block_offsets code;
+      code_bytes = o.o_code_bytes;
+      bytes_per_instr = o.o_bytes_per_instr;
+      block_offsets = o.o_block_offsets;
       quality = 1;
-      block_spill_cost;
+      block_spill_cost = o.o_block_spill_cost;
       spills = o.o_spills;
     }
   in

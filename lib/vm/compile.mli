@@ -28,23 +28,27 @@ val baseline : Platform.t -> Codespace.t -> profile:Profile.t -> Ir.methd -> com
 val o1 : Platform.t -> Codespace.t -> Ir.program -> profile:Profile.t -> Ir.methd -> compiled * int
 
 (** The optimizing tier's host work on one method: the pipeline's output,
-    its statistics, and the platform's size and register-allocation
-    figures for it.  Never mutated once built, so one value may be
-    installed by many VMs. *)
+    its statistics, the platform's size and register-allocation figures for
+    it, and its lowering template.  Never mutated once built, so one value
+    may be installed by many VMs. *)
 type optimized = {
   o_code : Ir.methd;
   o_stats : Pipeline.stats;
   o_code_bytes : int;
-  o_block_spill_cost : int;  (** cycles per executed block (spill traffic) *)
-  o_spills : int;            (** intervals spilled by the register allocator *)
+  o_bytes_per_instr : int;
+  o_block_offsets : int array;  (** instruction-index offset of each block *)
+  o_block_spill_cost : int;     (** cycles per executed block (spill traffic) *)
+  o_spills : int;               (** intervals spilled by the register allocator *)
+  o_template : Lower.template;  (** validated, not yet relocated *)
 }
 
-(** Run the pipeline under [config] and allocate registers. *)
+(** Run the pipeline under [config] on method [m], allocate registers and
+    build the lowering template, with call sites attributed to [m]. *)
 val optimize : Platform.t -> Ir.program -> Pipeline.config -> Ir.methd -> optimized
 
-(** Install optimized code in one VM: reserve its code space and lower it
-    against the VM's profile, with call sites attributed to [owner].
-    Returns the compiled method and the simulated compile cycles, which
-    grow superlinearly in the post-inlining peak size. *)
+(** Install optimized code in one VM: reserve its code space and relocate
+    the template to it against the VM's profile ({!Lower.instantiate}, no
+    lowering).  Returns the compiled method and the simulated compile
+    cycles, which grow superlinearly in the post-inlining peak size. *)
 val install_optimized :
-  Platform.t -> Codespace.t -> profile:Profile.t -> owner:Ir.mid -> optimized -> compiled * int
+  Platform.t -> Codespace.t -> profile:Profile.t -> optimized -> compiled * int

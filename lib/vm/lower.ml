@@ -26,7 +26,15 @@ open Inltune_jir
    The lowering also re-validates every register, block target, operand
    field width, and callee id against the method being lowered, which is
    what licenses the unsafe array accesses in the flat interpreter's hot
-   loop (pipeline output is not otherwise runtime-validated). *)
+   loop (pipeline output is not otherwise runtime-validated).
+
+   Lowering is two steps.  [template] does all of the above except what
+   depends on the VM: it leaves out the icache addresses and the call-site
+   ids.  [instantiate] relocates a template to a code address and interns
+   its call sites into a VM's profile — O(stream) copying, no validation,
+   no IR.  Every tier lowers through both steps; the
+   compiled-method cache keeps an optimized method's template, so a cache
+   hit pays only for the relocation. *)
 
 (* Opcode encoding.  [Machine]'s dispatch loop matches on these values as
    integer literals (OCaml patterns cannot name constants), and asserts at
@@ -95,25 +103,45 @@ let binop_code = function
 let cmpop_code = function
   | Ir.Lt -> 12 | Ir.Le -> 13 | Ir.Eq -> 14 | Ir.Ne -> 15 | Ir.Gt -> 16 | Ir.Ge -> 17
 
-let lower ~(plat : Platform.t) ~profile ~owner ~quality ~addr ~bytes_per_instr ~spill
-    (m : Ir.methd) =
+(* What lowering produces before a VM is chosen: everything but the code's
+   address and its profile's site ids.  The icache address of stream slot
+   [pc] is the code's base address plus [bytes_per_instr] times the number
+   of non-ENTER slots before it (ENTER ops are never icache-touched, and
+   their slots read 0).  [sites] lists the [extra] slots that take an
+   interned call-site id, each followed by the site's callee, in stream
+   order. *)
+type template = {
+  t_opc : int array;
+  t_args : int array;
+  t_bytes_per_instr : int;
+  t_extra : int array;   (* call-site slots hold 0 until instantiated *)
+  t_sites : int array;   (* extra slot, callee, extra slot, callee, ... *)
+  t_owner : Ir.mid;
+  t_nregs : int;
+  t_spill : int;
+}
+
+let template ~(plat : Platform.t) ~owner ~quality ~bytes_per_instr ~spill (m : Ir.methd) =
   let blocks = m.Ir.blocks in
   let nblocks = Array.length blocks in
   let nregs = m.Ir.nregs in
   let bad what = invalid_arg (Printf.sprintf "Lower.lower: %s in %s" what m.Ir.mname) in
   let reg r = if r < 0 || r >= nregs then bad "register out of range"; r in
   let field v = if v < 0 || v > field_mask then bad "operand field out of range"; v in
-  (* Flat pc of each block's ENTER, plus stream and extra-pool sizes. *)
+  (* Flat pc of each block's ENTER, plus stream, extra-pool and call-site
+     counts. *)
   let starts = Array.make (max 1 nblocks) 0 in
-  let len = ref 0 and nextra = ref 0 in
+  let len = ref 0 and nextra = ref 0 and ncalls = ref 0 in
   for bi = 0 to nblocks - 1 do
     starts.(bi) <- !len;
     let instrs = blocks.(bi).Ir.instrs in
     len := !len + Array.length instrs + 2;
     Array.iter
       (function
-        | Ir.Call (_, _, args) | Ir.CallVirt (_, _, _, args) ->
+        | Ir.Call (_, _, args) ->
+          incr ncalls;
           nextra := !nextra + 2 + Array.length args
+        | Ir.CallVirt (_, _, _, args) -> nextra := !nextra + 2 + Array.length args
         | Ir.Const _ -> incr nextra
         | _ -> ())
       instrs
@@ -121,21 +149,14 @@ let lower ~(plat : Platform.t) ~profile ~owner ~quality ~addr ~bytes_per_instr ~
   let n = !len in
   let opc = Array.make n 0
   and args = Array.make n 0
-  and iaddrs = Array.make n 0
-  and extra = Array.make (max 1 !nextra) 0 in
+  and extra = Array.make (max 1 !nextra) 0
+  and sites = Array.make (2 * !ncalls) 0 in
   let target l = if l < 0 || l >= nblocks then bad "block target out of range"; starts.(l) in
-  let pc = ref 0 and eoff = ref 0 in
-  (* [ioff] mirrors the tree-walker's instruction-index offsets exactly:
-     instruction k of block bi sits at block_offsets.(bi) + k and the
-     terminator at block_offsets.(bi) + n, where consecutive blocks are
-     n + 1 indices apart (ENTER ops occupy no icache index). *)
-  let ioff = ref 0 in
+  let pc = ref 0 and eoff = ref 0 and nsites = ref 0 in
   let emit op x y z cost =
     opc.(!pc) <- op lor (cost lsl 8);
     args.(!pc) <- field x lor (field y lsl field_bits) lor (field z lsl (2 * field_bits));
-    iaddrs.(!pc) <- addr + (!ioff * bytes_per_instr);
-    incr pc;
-    incr ioff
+    incr pc
   in
   let spill_args call_args =
     let o = !eoff in
@@ -170,7 +191,9 @@ let lower ~(plat : Platform.t) ~profile ~owner ~quality ~addr ~bytes_per_instr ~
         | Ir.Print r -> emit op_print (reg r) 0 0 cost
         | Ir.Call (d, callee, call_args) ->
           let o = spill_args call_args in
-          extra.(o) <- Profile.intern profile ~site_owner:owner ~callee;
+          sites.(2 * !nsites) <- o;
+          sites.((2 * !nsites) + 1) <- callee;
+          incr nsites;
           emit op_call (reg d) callee o cost
         | Ir.CallVirt (d, slot, recv, call_args) ->
           let o = spill_args call_args in
@@ -184,4 +207,46 @@ let lower ~(plat : Platform.t) ~profile ~owner ~quality ~addr ~bytes_per_instr ~
     | Ir.Ret r -> emit op_ret (reg r) 0 0 tcost)
   done;
   assert (!pc = n);
-  { opc; args; iaddrs; extra; nregs; spill }
+  {
+    t_opc = opc;
+    t_args = args;
+    t_bytes_per_instr = bytes_per_instr;
+    t_extra = extra;
+    t_sites = sites;
+    t_owner = owner;
+    t_nregs = nregs;
+    t_spill = spill;
+  }
+
+(* Relocation: absolute icache addresses, plus [extra] with its call-site
+   slots set to ids interned into this VM's profile in stream order.  [ioff] mirrors
+   the tree-walker's instruction-index offsets exactly: instruction k of
+   block bi sits at block_offsets.(bi) + k and the terminator at
+   block_offsets.(bi) + n, where consecutive blocks are n + 1 indices apart
+   (ENTER ops occupy no icache index).  [opc] and [args] are read-only after
+   lowering, so every instance shares the template's. *)
+let relocate t ~extra ~profile ~addr =
+  let opc = t.t_opc and bpi = t.t_bytes_per_instr in
+  let iaddrs = Array.make (Array.length opc) 0 in
+  let ioff = ref 0 in
+  Array.iteri
+    (fun pc op ->
+      if op land 0xff <> op_enter then begin
+        iaddrs.(pc) <- addr + (!ioff * bpi);
+        incr ioff
+      end)
+    opc;
+  let sites = t.t_sites in
+  for k = 0 to (Array.length sites / 2) - 1 do
+    extra.(sites.(2 * k)) <-
+      Profile.intern profile ~site_owner:t.t_owner ~callee:sites.((2 * k) + 1)
+  done;
+  { opc; args = t.t_args; iaddrs; extra; nregs = t.t_nregs; spill = t.t_spill }
+
+(* A shared template gives each instance its own [extra]. *)
+let instantiate t ~profile ~addr = relocate t ~extra:(Array.copy t.t_extra) ~profile ~addr
+
+(* A template used once can hand over its own. *)
+let lower ~plat ~profile ~owner ~quality ~addr ~bytes_per_instr ~spill m =
+  let t = template ~plat ~owner ~quality ~bytes_per_instr ~spill m in
+  relocate t ~extra:t.t_extra ~profile ~addr

@@ -52,13 +52,37 @@ val op_jump : int
 val op_branch : int
 val op_ret : int
 
+(** A lowered method before it is placed in a VM: the stream, its icache
+    offsets from the code's base address, and its call-site slots, not yet
+    interned.  Independent of any VM and never mutated, so one template may
+    be instantiated by any number of VMs on any domain. *)
+type template
+
+(** [template ~plat ~owner ~quality ~bytes_per_instr ~spill m] flattens [m]
+    (the code a tier is about to install).  [owner] is the method id call
+    sites are attributed to; [quality], [bytes_per_instr] and [spill] come
+    from the tier's {!Compile.compiled} record.  Validates registers, block
+    targets and operand widths, which licenses the interpreter's unsafe
+    array accesses; raises [Invalid_argument] on malformed code. *)
+val template :
+  plat:Platform.t ->
+  owner:int ->
+  quality:int ->
+  bytes_per_instr:int ->
+  spill:int ->
+  Ir.methd ->
+  template
+
+(** [instantiate t ~profile ~addr] places [t] at code address [addr]:
+    absolute icache addresses, and a private [extra] pool whose call sites
+    are interned into [profile] in stream order (raising [Invalid_argument]
+    on a callee id outside the profile's program).  Shares [t]'s [opc] and
+    [args].  Equal, field for field, to lowering the method afresh at
+    [addr] against the same profile state. *)
+val instantiate : template -> profile:Profile.t -> addr:int -> code
+
 (** [lower ~plat ~profile ~owner ~quality ~addr ~bytes_per_instr ~spill m]
-    flattens [m] (the code a tier is about to install).  [owner] is the
-    method id call sites are attributed to; [quality], [addr],
-    [bytes_per_instr], and [spill] come from the tier's {!Compile.compiled}
-    record.  Re-validates registers, block targets, and callee ids, which
-    licenses the interpreter's unsafe array accesses; raises
-    [Invalid_argument] on malformed code. *)
+    is {!template} then {!instantiate}. *)
 val lower :
   plat:Platform.t ->
   profile:Profile.t ->

@@ -155,8 +155,19 @@ let cache_prefix cfg (plat : Platform.t) prog =
          ])
   | Some _ | None -> None
 
+(* Every program value is validated once, on its first [create]: a tuning
+   search simulates the same few programs thousands of times, and
+   validation costs as much as a small simulation.  Keyed by physical
+   identity, bounded; a failed validation is not remembered, so a malformed
+   program raises on every [create]. *)
+module Validated = Inltune_support.Idmemo.Make (struct
+  type t = Ir.program
+end)
+
+let validated : unit Validated.t = Validated.create ~capacity:256
+
 let create cfg (plat : Platform.t) prog =
-  Validate.check_exn prog;
+  Validated.find_or_add validated prog Validate.check_exn;
   {
     prog;
     plat;
@@ -268,7 +279,7 @@ let compile_opt vm mid =
           | _ -> optimize ()
         in
         let c, cycles =
-          Compile.install_optimized vm.plat vm.codespace ~profile:vm.profile ~owner:m.Ir.mid o
+          Compile.install_optimized vm.plat vm.codespace ~profile:vm.profile o
         in
         (c, cycles, o.Compile.o_stats))
   in

@@ -24,12 +24,34 @@ type result = {
   spill_ops : int;        (* occurrences of spilled registers (memory ops) *)
 }
 
-let occurrences m =
+(* The per-register tables of one allocation, sized by [nregs] and reused
+   through a per-domain {!Inltune_support.Scratch} so a compile miss does
+   not allocate four [nregs]-sized arrays in the major heap. *)
+type tables = {
+  first : int array;      (* first occurrence on the linear numbering; -1 = absent *)
+  last : int array;       (* last occurrence *)
+  count : int array;      (* occurrences *)
+  intervals : int array;  (* present registers, staged before sorting *)
+}
+
+let tables_scratch =
+  Inltune_support.Scratch.create
+    ~size:(fun t -> Array.length t.first)
+    ~make:(fun n ->
+      {
+        first = Array.make n 0;
+        last = Array.make n 0;
+        count = Array.make n 0;
+        intervals = Array.make n 0;
+      })
+
+let occurrences t m =
   (* first.(r), last.(r), count.(r) over a linear numbering; -1 = absent *)
   let n = m.Ir.nregs in
-  let first = Array.make n (-1) in
-  let last = Array.make n (-1) in
-  let count = Array.make n 0 in
+  let first = t.first and last = t.last and count = t.count in
+  Array.fill first 0 n (-1);
+  Array.fill last 0 n (-1);
+  Array.fill count 0 n 0;
   let pos = ref 0 in
   let touch r =
     if first.(r) < 0 then first.(r) <- !pos;
@@ -54,26 +76,24 @@ let occurrences m =
       | Ir.Branch (c, _, _) -> touch c
       | Ir.Ret r -> touch r
       | Ir.Jump _ -> ())
-    m.Ir.blocks;
-  (first, last, count)
+    m.Ir.blocks
 
-let run ~phys_regs m =
-  if phys_regs < 2 then invalid_arg "Regalloc.run: need at least 2 physical registers";
-  let first, last, count = occurrences m in
+let run_with t ~phys_regs m =
+  occurrences t m;
+  let first = t.first and last = t.last and count = t.count in
   (* Present registers sorted by interval start, in place.  Ties broken by
      register index — the previous stable [List.sort] over an index-ordered
      list produced exactly that order, and tie order is observable (it decides
      which of two same-start intervals the scan considers first, and hence
      what spills). *)
-  let intervals = Array.make m.Ir.nregs 0 in
   let nint = ref 0 in
   for r = 0 to m.Ir.nregs - 1 do
     if first.(r) >= 0 then begin
-      intervals.(!nint) <- r;
+      t.intervals.(!nint) <- r;
       incr nint
     end
   done;
-  let intervals = Array.sub intervals 0 !nint in
+  let intervals = Array.sub t.intervals 0 !nint in
   Array.sort
     (fun a b ->
       let c = Int.compare first.(a) first.(b) in
@@ -112,6 +132,13 @@ let run ~phys_regs m =
       max_pressure := max !max_pressure (List.length !active + !spilled))
     intervals;
   { vregs; max_pressure = (if vregs = 0 then 0 else max !max_pressure 1); spilled = !spilled; spill_ops = !spill_ops }
+
+let run ~phys_regs m =
+  if phys_regs < 2 then invalid_arg "Regalloc.run: need at least 2 physical registers";
+  let t = Inltune_support.Scratch.take tables_scratch m.Ir.nregs in
+  Fun.protect
+    ~finally:(fun () -> Inltune_support.Scratch.release tables_scratch t)
+    (fun () -> run_with t ~phys_regs m)
 
 (* Per-block-execution spill surcharge for the interpreter: total spill
    traffic spread across the method's blocks, scaled by the platform's

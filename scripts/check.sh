@@ -179,7 +179,7 @@ echo "== plan smoke =="
 # code 2, and the GA can evolve the plan itself.
 plan=$(mktemp -t inltune_plan.XXXXXX.txt)
 plan2=$(mktemp -t inltune_plan2.XXXXXX.txt)
-trap 'rm -f "$trace" "$faults" "$ckpt" "$ds" "$pol" "$pol2" "$plan" "$plan2"' EXIT
+trap 'rm -f "$trace" "$faults" "$ckpt" "$ds" "$pol" "$pol2" "$gpck" "$gptree" "$plan" "$plan2"' EXIT
 dune exec --no-build bin/main.exe -- plan > "$plan"
 dune exec --no-build bin/main.exe -- plan "$plan" > "$plan2"
 cmp -s "$plan" "$plan2" || { echo "plan canonical form is not a serialization fixpoint"; exit 1; }
@@ -259,7 +259,7 @@ echo "== observability smoke =="
 # trace aggregates into profile/histogram tables and flamegraph-ready
 # folded stacks via trace-summary.
 obs=$(mktemp -t inltune_obs.XXXXXX.jsonl)
-trap 'rm -f "$trace" "$faults" "$ckpt" "$ds" "$pol" "$pol2" "$plan" "$plan2" "$obs"' EXIT
+trap 'rm -f "$trace" "$faults" "$ckpt" "$ds" "$pol" "$pol2" "$gpck" "$gptree" "$plan" "$plan2" "$obs"' EXIT
 rm -f "$obs"
 obs_err=$(dune exec --no-build bin/main.exe -- tune -s adapt --pop 6 -g 2 --domains 1 \
   --profile --progress --trace "$obs" 2>&1 > /dev/null)
@@ -340,7 +340,7 @@ echo "== serve smoke =="
 # reply, and SIGTERM drains to a clean exit with the socket removed.
 sock=$(mktemp -t inltune_serve.XXXXXX.sock)
 rm -f "$sock"
-trap 'rm -f "$trace" "$faults" "$ckpt" "$ds" "$pol" "$pol2" "$plan" "$plan2" "$obs" "$sock";
+trap 'rm -f "$trace" "$faults" "$ckpt" "$ds" "$pol" "$pol2" "$gpck" "$gptree" "$plan" "$plan2" "$obs" "$sock";
       [ -n "${serve_pid:-}" ] && kill -9 "$serve_pid" 2> /dev/null || true' EXIT
 INLTUNE_FAULTS="serve:raise@1,serve:raise@2" \
   ./_build/default/bin/main.exe serve --socket "$sock" --permits 2 \

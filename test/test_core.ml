@@ -549,6 +549,145 @@ let test_fig2_series_varies () =
     Alcotest.(check bool) "depth changes jess Opt total" true (t0 <> t5)
   | _ -> Alcotest.fail "series shape"
 
+(* --- decision walks over the per-program index --- *)
+
+(* The decision walk read straight off the IR: callee sizes recomputed
+   through a per-walk table, call sites found by scanning every inlined
+   body.  The oracle the index walk must reproduce. *)
+let ir_walk ~program ~policy (m : Inltune_jir.Ir.methd) =
+  let module Ir = Inltune_jir.Ir in
+  let sizes = Hashtbl.create 64 in
+  let callee_size mid =
+    match Hashtbl.find_opt sizes mid with
+    | Some s -> s
+    | None ->
+      let s = Inltune_jir.Size.of_method program.Ir.methods.(mid) in
+      Hashtbl.add sizes mid s;
+      s
+  in
+  let buf = Buffer.create 64 in
+  let size = ref (Inltune_jir.Size.of_method m) in
+  let rec walk_blocks ~owner ~depth ~chain blocks =
+    Array.iter
+      (fun blk ->
+        Array.iter
+          (function
+            | Ir.Call (_, callee, _) when not (List.mem callee chain) ->
+              let cs = callee_size callee in
+              let verdict =
+                policy.Policy.decide
+                  {
+                    Policy.owner;
+                    callee;
+                    callee_size = cs;
+                    inline_depth = depth + 1;
+                    caller_size = !size;
+                    hot = false;
+                  }
+              in
+              let accept = verdict.Policy.accept && !size + cs <= Engine.max_expanded_size in
+              Buffer.add_char buf (if accept then '1' else '0');
+              if accept then begin
+                size := !size + cs;
+                walk_blocks ~owner:callee ~depth:(depth + 1) ~chain:(callee :: chain)
+                  program.Ir.methods.(callee).Ir.blocks
+              end
+            | _ -> ())
+          blk.Ir.instrs)
+      blocks
+  in
+  walk_blocks ~owner:m.Ir.mid ~depth:0 ~chain:[ m.Ir.mid ] m.Ir.blocks;
+  Buffer.contents buf
+
+let test_index_walk_matches_ir_walk () =
+  (* Every SPEC/DaCapo/JBB program plus one corpus program per family, from
+     both the original and the constant-propagated methods, under random
+     Table 1 heuristics, the static leaf and region strategies at their
+     default knobs, and a static GP rule: the index walk returns exactly
+     the IR walk's string. *)
+  let rng = Inltune_support.Rng.create 15 in
+  let random_heuristic () =
+    Heuristic.of_array
+      (Array.map (fun (lo, hi) -> lo + Inltune_support.Rng.int rng (hi - lo + 1)) Heuristic.ranges)
+  in
+  let corpus =
+    List.map
+      (fun name -> Option.get (W.Corpus.find_opt name))
+      [ "corpus_chain00"; "corpus_dispatch00"; "corpus_recur00"; "corpus_sweep00"; "corpus_phase00" ]
+  in
+  let static_knob pass = Option.get (Option.bind (Pass.find pass) (fun p -> p.Pass.static_policy)) in
+  let default_knob pass name =
+    let p = Option.get (Pass.find pass) in
+    (List.find (fun k -> k.Pass.k_name = name) p.Pass.knobs).Pass.k_default
+  in
+  let walks = ref 0 and accepted = ref 0 in
+  List.iter
+    (fun bm ->
+      let program = W.Suites.program bm in
+      let index = Engine.index program in
+      let gp =
+        Inltune_gp.Decode.policy ~ctx:(Inltune_policy.Features.make_ctx program)
+          Inltune_gp.Tree.(Cmp (Le, Feat 0, Const 25.0))
+      in
+      let policies m =
+        List.init 6 (fun _ -> Policy.of_heuristic (random_heuristic ()))
+        @ [
+            Policy.of_heuristic Heuristic.default;
+            static_knob "inline_leaves" (default_knob "inline_leaves") program m;
+            static_knob "inline_region" (default_knob "inline_region") program m;
+            gp;
+          ]
+      in
+      let roots =
+        Array.to_list program.Inltune_jir.Ir.methods
+        @ List.map (fun m -> fst (Constprop.run program m)) (Array.to_list program.Inltune_jir.Ir.methods)
+      in
+      List.iter
+        (fun m ->
+          List.iter
+            (fun policy ->
+              let expected = ir_walk ~program ~policy m in
+              let got = Engine.walk ~index ~policy (Engine.shape m) in
+              incr walks;
+              if String.contains expected '1' then incr accepted;
+              if got <> expected then
+                Alcotest.failf "%s/%s: index walk %S, IR walk %S" bm.W.Suites.bname
+                  m.Inltune_jir.Ir.mname got expected)
+            (policies m))
+        roots;
+      let main = program.Inltune_jir.Ir.methods.(program.Inltune_jir.Ir.main) in
+      let policy = Policy.of_heuristic Heuristic.default in
+      Alcotest.(check string) "plan_policy builds its own index" (ir_walk ~program ~policy main)
+        (Inline.plan_policy ~program ~policy main))
+    (W.Suites.all @ corpus);
+  Alcotest.(check bool) "walks inline something" true (!accepted > !walks / 10)
+
+let test_fitcache_pinfo_table_bounded () =
+  (* Past the per-program table's bound, old entries are evicted and
+     rebuilt on demand: the gauge never exceeds the bound, and every
+     program's signature is what it was. *)
+  let prog = W.Suites.program bm_compress in
+  let sig_of p =
+    Fitcache.signature ~scenario:Machine.Opt ~decider:(Fitcache.Heuristic Heuristic.default)
+      ~inline_enabled:true ~plan:Plan.default p
+  in
+  let first = sig_of prog in
+  Alcotest.(check bool) "exact walk" true (String.sub first 0 2 = "w:");
+  (* Physically distinct copies: each takes its own entry. *)
+  let copies =
+    List.init (Fitcache.pinfo_capacity + 8) (fun _ -> { prog with Inltune_jir.Ir.pname = prog.Inltune_jir.Ir.pname })
+  in
+  List.iter
+    (fun p ->
+      Alcotest.(check string) "copy signature" first (sig_of p);
+      Alcotest.(check bool) "gauge within bound" true
+        (metric "fitness.pinfo_entries" <= Fitcache.pinfo_capacity))
+    copies;
+  Alcotest.(check int) "table full" Fitcache.pinfo_capacity (metric "fitness.pinfo_entries");
+  Alcotest.(check string) "evicted program rebuilt" first (sig_of prog);
+  Alcotest.(check string) "digest unchanged" (Fitcache.program_digest prog)
+    (Fitcache.program_digest (List.hd copies))
+
 let suite =
   [
     ("table1 matches heuristic ranges", `Quick, test_table1_matches_heuristic_ranges);
@@ -587,4 +726,6 @@ let suite =
     ("fitcache failed append releases lock", `Quick, test_fitcache_failed_append_releases_lock);
     ("compile cache transparent on every benchmark", `Slow, test_compile_cache_transparent);
     ("compile cache bypassed without a walk", `Quick, test_compile_cache_bypassed_off_walk);
+    ("index walk matches the IR walk", `Slow, test_index_walk_matches_ir_walk);
+    ("fitcache program table bounded", `Quick, test_fitcache_pinfo_table_bounded);
   ]

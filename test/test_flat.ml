@@ -280,6 +280,106 @@ let test_replay_matches_reference () =
         [ Platform.x86; Platform.ppc ])
     programs
 
+(* --- relocation --- *)
+
+let test_template_relocation_matches_lower () =
+  (* One template per method, instantiated at two code addresses, equals a
+     fresh [Lower.lower] at each address field for field — interned site ids
+     included, with the profile advancing across methods the same way on
+     both sides — for baseline code and for optimized code installed by
+     [Compile.install_optimized]. *)
+  let prog = Suites.program (Suites.find "jess") in
+  let plat = Platform.x86 in
+  let n = Array.length prog.Ir.methods in
+  let check_code what (a : Lower.code) (b : Lower.code) =
+    Alcotest.(check (array int)) (what ^ ": opc") a.Lower.opc b.Lower.opc;
+    Alcotest.(check (array int)) (what ^ ": args") a.Lower.args b.Lower.args;
+    Alcotest.(check (array int)) (what ^ ": iaddrs") a.Lower.iaddrs b.Lower.iaddrs;
+    Alcotest.(check (array int)) (what ^ ": extra") a.Lower.extra b.Lower.extra;
+    Alcotest.(check int) (what ^ ": nregs") a.Lower.nregs b.Lower.nregs;
+    Alcotest.(check int) (what ^ ": spill") a.Lower.spill b.Lower.spill
+  in
+  (* Independently of [Lower]: slot addresses follow the tree-walker's
+     instruction indices (ENTER slots read 0), and each call's site slot
+     holds the id the [oracle] profile gives its (owner, callee) edge when
+     edges are interned in IR order. *)
+  let check_ir what ~oracle ~addr ~bpi (m : Ir.methd) (c : Lower.code) =
+    let pc = ref 0 and ioff = ref 0 in
+    Array.iter
+      (fun blk ->
+        Alcotest.(check int) (what ^ ": enter slot") 0 c.Lower.iaddrs.(!pc);
+        incr pc;
+        let slot i =
+          Alcotest.(check int) (what ^ ": iaddr") (addr + (!ioff * bpi)) c.Lower.iaddrs.(!pc);
+          (match i with
+          | Some (Ir.Call (_, callee, _)) ->
+            let z = (c.Lower.args.(!pc) lsr (2 * Lower.field_bits)) land Lower.field_mask in
+            Alcotest.(check int) (what ^ ": site id")
+              (Profile.intern oracle ~site_owner:m.Ir.mid ~callee)
+              c.Lower.extra.(z)
+          | _ -> ());
+          incr pc;
+          incr ioff
+        in
+        Array.iter (fun i -> slot (Some i)) blk.Ir.instrs;
+        slot None)
+      m.Ir.blocks;
+    Alcotest.(check int) (what ^ ": stream length") !pc (Array.length c.Lower.opc)
+  in
+  (* Baseline: the tier's own parameters, one template per method. *)
+  let quality = plat.Platform.baseline_quality in
+  let bpi m =
+    max 1 (Size.code_bytes ~expansion:plat.Platform.baseline_expansion m / max 1 (Ir.instr_count m))
+  in
+  let templates =
+    Array.map
+      (fun m -> Lower.template ~plat ~owner:m.Ir.mid ~quality ~bytes_per_instr:(bpi m) ~spill:0 m)
+      prog.Ir.methods
+  in
+  List.iter
+    (fun base ->
+      let fresh = Profile.create n and reloc = Profile.create n and oracle = Profile.create n in
+      Array.iteri
+        (fun mid m ->
+          let addr = base + (mid * 4096) in
+          let what = Printf.sprintf "baseline %s @%d" m.Ir.mname addr in
+          let code = Lower.instantiate templates.(mid) ~profile:reloc ~addr in
+          check_code what
+            (Lower.lower ~plat ~profile:fresh ~owner:mid ~quality ~addr ~bytes_per_instr:(bpi m)
+               ~spill:0 m)
+            code;
+          check_ir what ~oracle ~addr ~bpi:(bpi m) m code)
+        prog.Ir.methods;
+      Alcotest.(check bool) "call sites interned" true (Profile.interned_sites reloc > 0))
+    [ 0; 1 lsl 20 ];
+  (* Optimized: one [Compile.optimize] per method, installed into two VMs'
+     code spaces at different addresses. *)
+  let config = Pipeline.opt_config Heuristic.default in
+  let opt = Array.map (fun m -> Compile.optimize plat prog config m) prog.Ir.methods in
+  List.iter
+    (fun pad ->
+      let codespace = Codespace.create () in
+      ignore (Codespace.alloc codespace pad : int);
+      let fresh = Profile.create n and reloc = Profile.create n and oracle = Profile.create n in
+      Array.iteri
+        (fun mid o ->
+          let c, _ = Compile.install_optimized plat codespace ~profile:reloc o in
+          let what =
+            Printf.sprintf "optimized %s @%d" prog.Ir.methods.(mid).Ir.mname c.Compile.addr
+          in
+          check_code what
+            (Lower.lower ~plat ~profile:fresh ~owner:mid ~quality:1 ~addr:c.Compile.addr
+               ~bytes_per_instr:c.Compile.bytes_per_instr ~spill:c.Compile.block_spill_cost
+               o.Compile.o_code)
+            c.Compile.flat;
+          check_ir what ~oracle ~addr:c.Compile.addr ~bpi:c.Compile.bytes_per_instr o.Compile.o_code
+            c.Compile.flat)
+        opt;
+      Alcotest.(check int) "same sites interned" (Profile.interned_sites fresh)
+        (Profile.interned_sites reloc))
+    [ 0; 777 ]
+
+
 let suite =
   [
     Alcotest.test_case "corpus x scenarios identical" `Quick test_corpus_all_scenarios;
@@ -289,4 +389,6 @@ let suite =
     Alcotest.test_case "random programs identical" `Quick test_random_programs;
     Alcotest.test_case "fuel exhaustion agrees" `Quick test_out_of_fuel_agrees;
     Alcotest.test_case "opt replay matches reference" `Quick test_replay_matches_reference;
+    Alcotest.test_case "relocated templates equal fresh lowering" `Quick
+      test_template_relocation_matches_lower;
   ]

@@ -4,6 +4,7 @@ module Vec = Inltune_support.Vec
 module Table = Inltune_support.Table
 module Pool = Inltune_support.Pool
 module Lru = Inltune_support.Lru
+module Idmemo = Inltune_support.Idmemo
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -449,6 +450,76 @@ let test_lru_keeps_first_binding () =
   ignore (Lru.add t "b" 1 ~weight:1);
   Alcotest.(check (option int)) "usable after clear" (Some 1) (Lru.find t "b")
 
+(* --- pool idle accounting --- *)
+
+let pool_ns name = Inltune_obs.Metric.value (Inltune_obs.Metric.counter name)
+
+let test_pool_capped_worker_not_idle () =
+  (* A two-worker pool running a batch capped at two participants (the
+     submitter plus one worker) leaves the other worker parked for the whole
+     batch.  That worker is not starved — a batch is queued — so pool.idle_ns
+     grows by far less than the batch's length, while pool.busy_ns shows the
+     participating worker's share. *)
+  let pool = Pool.create ~domains:2 () in
+  let idle0 = pool_ns "pool.idle_ns" and busy0 = pool_ns "pool.busy_ns" in
+  let item_s = 0.04 in
+  let out =
+    Pool.await
+      (Pool.submit pool ~chunk:1 ~max_workers:2
+         (fun x ->
+           Unix.sleepf item_s;
+           x)
+         (Array.init 6 (fun i -> i)))
+  in
+  Pool.shutdown pool;
+  Alcotest.(check int) "all items ran" 6
+    (Array.fold_left (fun n r -> match r with Ok _ -> n + 1 | Error _ -> n) 0 out);
+  let idle = pool_ns "pool.idle_ns" - idle0 and busy = pool_ns "pool.busy_ns" - busy0 in
+  let batch_ns = Float.to_int (3.0 *. item_s *. 1e9) in
+  Alcotest.(check bool) "a worker participated" true (busy > 0);
+  if idle * 2 >= batch_ns then
+    Alcotest.failf "idle %d ns counted during a %d ns capped batch" idle batch_ns
+
+let test_pool_idle_counted_without_work () =
+  (* Workers parked with nothing queued are idle, and say so. *)
+  let pool = Pool.create ~domains:2 () in
+  let idle0 = pool_ns "pool.idle_ns" in
+  Unix.sleepf 0.05;
+  ignore (Pool.await (Pool.submit pool (fun x -> x) [| 1; 2 |]));
+  Pool.shutdown pool;
+  Alcotest.(check bool) "parked time counted" true (pool_ns "pool.idle_ns" - idle0 >= 20_000_000)
+
+(* --- Idmemo --- *)
+
+module Array_memo = Idmemo.Make (struct
+  type t = int array
+end)
+
+let test_idmemo_identity_and_bound () =
+  let m = Array_memo.create ~capacity:2 in
+  let builds = ref 0 in
+  let find k =
+    Array_memo.find_or_add m k (fun k ->
+        incr builds;
+        Array.length k)
+  in
+  let a = [| 1 |] and a' = [| 1 |] and b = [| 2; 3 |] and c = [| 4; 5; 6 |] in
+  ignore (find a : int);
+  ignore (find a : int);
+  Alcotest.(check int) "hit" 1 !builds;
+  ignore (find a' : int);
+  Alcotest.(check int) "equal copy is another key" 2 !builds;
+  ignore (find b : int);
+  ignore (find c : int);
+  Alcotest.(check int) "bounded" 2 (Array_memo.length m);
+  Alcotest.(check int) "oldest evicted, rebuilt on demand" 1 (find a);
+  Alcotest.(check int) "rebuilt" 5 !builds;
+  Alcotest.(check bool) "a raising build stores nothing" true
+    (try
+       ignore (Array_memo.find_or_add m [| 9 |] (fun _ -> failwith "bad") : int);
+       false
+     with Failure _ -> Array_memo.length m = 2)
+
 let suite =
   [
     ("rng deterministic", `Quick, test_rng_deterministic);
@@ -502,4 +573,7 @@ let suite =
     ("pool priority batch completes", `Quick, test_pool_priority_batch_completes);
     ("lru evicts least recent", `Quick, test_lru_evicts_least_recent);
     ("lru keeps first binding", `Quick, test_lru_keeps_first_binding);
+    ("pool capped worker is not idle", `Quick, test_pool_capped_worker_not_idle);
+    ("pool idle counted without work", `Quick, test_pool_idle_counted_without_work);
+    ("idmemo identity and bound", `Quick, test_idmemo_identity_and_bound);
   ]

@@ -480,3 +480,69 @@ let regalloc_suite =
   ]
 
 let suite = suite @ regalloc_suite
+
+(* --- validate once per program value --- *)
+
+let test_create_rejects_malformed_every_time () =
+  (* Validation is memoized per program value, but only once it passed:
+     two distinct malformed programs each raise, and raise again on a
+     second [create]; a well-formed program creates any number of VMs. *)
+  let bad_register =
+    {
+      Ir.mid = 0;
+      mname = "main";
+      nargs = 0;
+      nregs = 1;
+      blocks = [| { Ir.instrs = [| Ir.Move (0, 5) |]; term = Ir.Ret 0 } |];
+    }
+  in
+  let bad_label = { bad_register with Ir.blocks = [| { Ir.instrs = [||]; term = Ir.Jump 7 } |] } in
+  let program m = { Ir.pname = "p"; methods = [| m |]; classes = [||]; main = 0 } in
+  let cfg = Machine.config Machine.Opt Heuristic.default in
+  let raises p =
+    try
+      ignore (Machine.create cfg Platform.x86 p : Machine.t);
+      false
+    with Invalid_argument _ -> true
+  in
+  List.iter
+    (fun (name, p) ->
+      Alcotest.(check bool) (name ^ ": first create raises") true (raises p);
+      Alcotest.(check bool) (name ^ ": second create raises") true (raises p))
+    [ ("bad register", program bad_register); ("bad label", program bad_label) ];
+  let good = Inltune_workloads.Suites.program (Inltune_workloads.Suites.find "compress") in
+  Alcotest.(check bool) "well-formed program, twice" false (raises good || raises good)
+
+(* --- regalloc scratch under systhreads --- *)
+
+let test_regalloc_threads_share_domain () =
+  (* Regalloc's per-register tables are per-domain scratch: two threads of
+     one domain allocating over the same freshly inlined bodies must each
+     get what a sequential run gets. *)
+  let program = Inltune_workloads.Suites.program (Inltune_workloads.Suites.find "jess") in
+  let greedy = Heuristic.of_array (Array.map snd Heuristic.ranges) in
+  let bodies = Array.map (fun m -> fst (Pipeline.run program (Pipeline.opt_config greedy) m)) program.Ir.methods in
+  let allocate () =
+    Array.map
+      (fun m -> (Regalloc.run ~phys_regs:8 m, Regalloc.run ~phys_regs:32 m))
+      bodies
+  in
+  let expected = allocate () in
+  Alcotest.(check bool) "something spills" true
+    (Array.exists (fun (r8, _) -> r8.Regalloc.spilled > 0) expected);
+  let mismatches = Atomic.make 0 in
+  let worker () =
+    for _ = 1 to 20 do
+      if allocate () <> expected then Atomic.incr mismatches
+    done
+  in
+  let threads = List.init 2 (fun _ -> Thread.create worker ()) in
+  List.iter Thread.join threads;
+  Alcotest.(check int) "concurrent allocations match sequential" 0 (Atomic.get mismatches)
+
+let suite =
+  suite
+  @ [
+      ("create rejects malformed programs every time", `Quick, test_create_rejects_malformed_every_time);
+      ("regalloc: threads share the domain's scratch", `Quick, test_regalloc_threads_share_domain);
+    ]
